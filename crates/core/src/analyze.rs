@@ -245,9 +245,18 @@ pub struct ReplayTiming {
 /// the executor's report. The buffer can then be replayed any number of
 /// times — per grain, per experiment — without re-interpreting.
 ///
+/// The buffer is checked with the O(1) [`TraceBuffer::seal`], which on an
+/// in-process capture returns exactly what [`TraceBuffer::validate`]
+/// would, so callers need no validating decode before replay.
+///
 /// # Errors
 ///
 /// Propagates any [`ExecError`] from the executor.
+///
+/// # Panics
+///
+/// Panics if the captured stream fails its seal (unbalanced scopes),
+/// which only a ReuseLens bug can cause.
 pub fn capture_program(
     program: &Program,
     index_arrays: Vec<(ArrayId, Vec<i64>)>,
@@ -261,6 +270,11 @@ pub fn capture_program(
         let _span = obs::span(obs::Stage::Capture);
         exec.run(&mut buffer)?
     };
+    // Only a ReuseLens bug can fail the seal, so it panics rather than
+    // widening the error type.
+    buffer
+        .seal()
+        .unwrap_or_else(|e| panic!("in-process capture failed its seal: {e}"));
     let stats = buffer.stats();
     obs::add(obs::Counter::EventsCaptured, stats.events);
     obs::add(obs::Counter::AccessesCaptured, stats.accesses);

@@ -108,6 +108,29 @@ impl Affine {
         out
     }
 
+    /// `self + k·other`, or `None` when the constant or any coefficient
+    /// leaves the `i64` range.
+    fn checked_combine(&self, other: &Affine, k: i64) -> Option<Affine> {
+        let mut out = self.clone();
+        out.constant = out.constant.checked_add(other.constant.checked_mul(k)?)?;
+        for &(v, c) in &other.terms {
+            let c = c.checked_mul(k)?;
+            match out.terms.binary_search_by_key(&v, |&(w, _)| w) {
+                Ok(pos) => {
+                    let sum = out.terms[pos].1.checked_add(c)?;
+                    if sum == 0 {
+                        out.terms.remove(pos);
+                    } else {
+                        out.terms[pos].1 = sum;
+                    }
+                }
+                Err(pos) if c != 0 => out.terms.insert(pos, (v, c)),
+                Err(_) => {}
+            }
+        }
+        Some(out)
+    }
+
     fn add_term(&mut self, v: VarId, c: i64) {
         if c == 0 {
             return;
@@ -140,20 +163,27 @@ impl fmt::Display for Affine {
 
 /// Computes the affine form of an expression, or `None` when the expression
 /// is not affine (contains indirect loads, min/max, or non-constant
-/// division/remainder/multiplication).
+/// division/remainder/multiplication) or when folding it would divide by
+/// zero or overflow `i64`.
+///
+/// Every constant and coefficient is computed exactly, so evaluating the
+/// form with wrapping arithmetic gives the same value as evaluating the
+/// expression itself ([`Expr::eval`] wraps too) for every variable
+/// binding. The trace executor relies on this to run affine subscripts
+/// without walking their trees.
 pub fn affine_form(expr: &Expr) -> Option<Affine> {
     match expr {
         Expr::Const(c) => Some(Affine::constant(*c)),
         Expr::Var(v) => Some(Affine::var(*v)),
-        Expr::Add(a, b) => Some(affine_form(a)?.add(&affine_form(b)?)),
-        Expr::Sub(a, b) => Some(affine_form(a)?.sub(&affine_form(b)?)),
+        Expr::Add(a, b) => affine_form(a)?.checked_combine(&affine_form(b)?, 1),
+        Expr::Sub(a, b) => affine_form(a)?.checked_combine(&affine_form(b)?, -1),
         Expr::Mul(a, b) => {
             let fa = affine_form(a)?;
             let fb = affine_form(b)?;
             if fa.is_constant() {
-                Some(fb.scale(fa.constant))
+                Affine::constant(0).checked_combine(&fb, fa.constant)
             } else if fb.is_constant() {
-                Some(fa.scale(fb.constant))
+                Affine::constant(0).checked_combine(&fa, fb.constant)
             } else {
                 None
             }
@@ -164,8 +194,8 @@ pub fn affine_form(expr: &Expr) -> Option<Affine> {
             if fa.is_constant() && fb.is_constant() {
                 let (x, y) = (fa.constant, fb.constant);
                 let folded = match expr {
-                    Expr::Div(..) => x.div_euclid(y),
-                    Expr::Mod(..) => x.rem_euclid(y),
+                    Expr::Div(..) => x.checked_div_euclid(y)?,
+                    Expr::Mod(..) => x.checked_rem_euclid(y)?,
                     Expr::Min(..) => x.min(y),
                     Expr::Max(..) => x.max(y),
                     _ => unreachable!(),
@@ -385,6 +415,18 @@ mod tests {
         assert!(affine_form(&i().min(j())).is_none());
         assert!(affine_form(&Expr::load(ArrayId(0), vec![i()])).is_none());
         assert!(affine_form(&i().div(2)).is_none());
+    }
+
+    #[test]
+    fn affine_form_declines_folds_that_would_trap_or_overflow() {
+        assert!(affine_form(&Expr::c(1).div(0)).is_none());
+        assert!(affine_form(&(i() + Expr::c(1).rem(0))).is_none());
+        assert!(affine_form(&Expr::c(i64::MIN).div(-1)).is_none());
+        assert!(affine_form(&(Expr::c(i64::MAX) + 1)).is_none());
+        assert!(affine_form(&(i() * i64::MAX * 2)).is_none());
+        assert!(affine_form(&(i() * i64::MAX - i() * i64::MAX))
+            .unwrap()
+            .is_constant());
     }
 
     #[test]

@@ -128,12 +128,8 @@ pub fn run_locality_analysis_opts(
     // Capture once, then replay per granularity: this is the pipeline the
     // CLI reports on, so each stage runs under its own span (capture and
     // replay spans are recorded inside `capture_program`/`analyze_buffer`).
+    // `capture_program` seals the buffer, so it needs no validating decode.
     let (buffer, exec) = capture_program(program, index_arrays)?;
-    // An in-process capture can only fail validation through a ReuseLens
-    // bug, so surface that as a panic rather than widening the error type.
-    buffer
-        .validate()
-        .unwrap_or_else(|e| panic!("in-process capture failed validation: {e}"));
     let grains = hierarchy.required_granularities();
     let (profiles, _timings) = analyze_buffer_with(program, &buffer, &grains, opts)
         .into_strict()
@@ -166,9 +162,6 @@ pub fn run_locality_analysis_checkpointed(
     ckpt: &CheckpointOptions,
 ) -> Result<LocalityAnalysis, ReuseLensError> {
     let (buffer, exec) = capture_program(program, index_arrays)?;
-    buffer
-        .validate()
-        .unwrap_or_else(|e| panic!("in-process capture failed validation: {e}"));
     let grains = hierarchy.required_granularities();
     let (profiles, _timings) = analyze_buffer_checkpointed(program, &buffer, &grains, opts, ckpt)?
         .into_strict()?;

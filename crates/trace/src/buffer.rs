@@ -184,6 +184,9 @@ pub struct TraceBuffer {
     // events, plus the live open-scope stack the snapshots copy.
     pub(crate) checkpoints: Vec<Checkpoint>,
     pub(crate) open_scopes: Vec<(u32, u64)>,
+    // The first exit that did not close the innermost open scope, latched
+    // for `seal`.
+    pub(crate) unbalanced: Option<DecodeError>,
 }
 
 /// One capture-side snapshot of the decoder state at an event boundary
@@ -693,6 +696,33 @@ impl TraceBuffer {
         dec.finish()
     }
 
+    /// The encoder-side counterpart of [`validate`](Self::validate) for a
+    /// buffer this process captured, in O(1): every exit closed the
+    /// innermost open scope and no scope is left open.
+    ///
+    /// The encoder cannot produce any other malformation (its varints are
+    /// well formed, its ids and sizes come from `u32`s, its columns hold
+    /// exactly the events it counted), so on such a buffer this returns
+    /// exactly what `validate` would, without decoding anything. Buffers of
+    /// other provenance (imports aside, which `import` validates) must
+    /// still go through `validate`.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::UnbalancedExit`] for the first mismatched exit, else
+    /// [`DecodeError::UnclosedScopes`] when scopes remain open.
+    pub fn seal(&self) -> Result<(), DecodeError> {
+        if let Some(e) = &self.unbalanced {
+            return Err(e.clone());
+        }
+        if !self.open_scopes.is_empty() {
+            return Err(DecodeError::UnclosedScopes {
+                depth: self.open_scopes.len(),
+            });
+        }
+        Ok(())
+    }
+
     /// Iterates over the captured stream through the validating decoder,
     /// yielding `Err` (and then ending) at the first malformation. The
     /// final item also covers end-of-stream checks (unclosed scopes,
@@ -752,6 +782,7 @@ impl TraceBuffer {
             last_ref: 0,
             checkpoints: Vec::new(),
             open_scopes: Vec::new(),
+            unbalanced: None,
         };
         if buf.accesses.saturating_add(buf.scope_events) != buf.events {
             return Err(DecodeError::CountMismatch {
@@ -838,10 +869,20 @@ impl TraceSink for TraceBuffer {
     }
 
     fn exit(&mut self, scope: ScopeId) {
+        let event = self.events;
         self.push_op(OP_EXIT);
         self.scope_events += 1;
         put_varint(&mut self.scope_bytes, u64::from(scope.0));
-        self.open_scopes.pop();
+        match self.open_scopes.pop() {
+            Some((top, _)) if top == scope.0 => {}
+            expected => {
+                self.unbalanced.get_or_insert(DecodeError::UnbalancedExit {
+                    event,
+                    scope: scope.0,
+                    expected: expected.map(|(s, _)| s),
+                });
+            }
+        }
     }
 }
 

@@ -1,10 +1,19 @@
-//! The trace executor: interprets a [`Program`] and emits instrumentation
-//! events.
+//! The trace executor: lowers a [`Program`] into a flat plan and runs it,
+//! emitting instrumentation events.
+//!
+//! Lowering happens once per [`Executor::run`]. Every subscript, loop
+//! bound, assignment and predicate operand whose tree is affine becomes
+//! `constant + Σ coeff·vars[slot]` (via [`affine_form`]); the rest stay
+//! interpreted leaves evaluated by [`Expr::eval`]. Each reference carries
+//! its array's extents, byte strides, base and element size, so a bounds
+//! check and an address need no allocation and no table lookups.
 
 use crate::event::TraceSink;
 use reuselens_ir::{
-    ArrayId, ArrayKind, EvalCtx, Expr, Program, RefId, RoutineId, ScopeId, Stmt, VarId,
+    affine_form, AccessKind, ArrayId, ArrayKind, EvalCtx, Expr, Pred, Program, RefId, RoutineId,
+    ScopeId, Stmt, VarId,
 };
+use std::cell::OnceCell;
 use std::error::Error;
 use std::fmt;
 
@@ -137,36 +146,6 @@ pub struct Executor<'p> {
     index_data: Vec<Option<Vec<i64>>>,
 }
 
-struct Ctx<'a> {
-    vars: &'a [i64],
-    index_data: &'a [Option<Vec<i64>>],
-    program: &'a Program,
-    /// Records the first indirect-load fault; expression evaluation itself
-    /// is infallible so faults are latched and surfaced after the access.
-    fault: std::cell::RefCell<Option<ExecError>>,
-}
-
-impl EvalCtx for Ctx<'_> {
-    fn var(&self, v: VarId) -> i64 {
-        self.vars[v.index()]
-    }
-
-    fn load_index(&self, array: ArrayId, indices: &[i64]) -> i64 {
-        let decl = self.program.array(array);
-        let Some(data) = &self.index_data[array.index()] else {
-            self.latch(ExecError::MissingIndexData(array));
-            return 0;
-        };
-        match decl.flat_index(indices) {
-            Some(flat) => data[flat as usize],
-            None => {
-                self.latch(ExecError::IndexOutOfBounds(array, indices.to_vec()));
-                0
-            }
-        }
-    }
-}
-
 impl<'p> Executor<'p> {
     /// Creates an executor for a program. Index arrays default to all-zero
     /// contents only after [`set_index_array`](Self::set_index_array) or
@@ -222,153 +201,434 @@ impl<'p> Executor<'p> {
     /// Returns the first [`ExecError`] encountered (out-of-bounds access,
     /// missing index data, runaway recursion).
     pub fn run<S: TraceSink>(&mut self, sink: &mut S) -> Result<ExecReport, ExecError> {
+        let plan = Plan::lower(self.program);
         let mut report = ExecReport {
             loop_stats: vec![LoopStats::default(); self.program.scopes().len()],
             ..ExecReport::default()
         };
-        let entry = self.program.entry();
-        self.run_routine(entry, sink, &mut report, 0)?;
+        let mut machine = Machine {
+            plan: &plan,
+            program: self.program,
+            vars: &mut self.vars,
+            index_data: &self.index_data,
+            fault: OnceCell::new(),
+            sink,
+            report: &mut report,
+        };
+        machine.routine(self.program.entry(), 0)?;
         Ok(report)
     }
+}
 
-    fn run_routine<S: TraceSink>(
-        &mut self,
-        id: RoutineId,
-        sink: &mut S,
-        report: &mut ExecReport,
-        depth: usize,
-    ) -> Result<(), ExecError> {
-        if depth >= MAX_CALL_DEPTH {
-            return Err(ExecError::CallDepthExceeded(id));
+/// A lowered integer expression.
+#[derive(Debug)]
+enum Val<'p> {
+    /// `constant + Σ coeff·vars[slot]`, evaluated with wrapping arithmetic
+    /// like [`Expr::eval`].
+    Affine {
+        constant: i64,
+        terms: Box<[(usize, i64)]>,
+    },
+    /// A tree [`affine_form`] declines (indirect loads, non-constant
+    /// division/remainder/min/max, folds that would trap or overflow),
+    /// evaluated by walking it.
+    Interp(&'p Expr),
+}
+
+impl<'p> Val<'p> {
+    fn lower(e: &'p Expr) -> Val<'p> {
+        match affine_form(e) {
+            Some(form) => Val::Affine {
+                constant: form.constant,
+                terms: form.terms.iter().map(|&(v, c)| (v.index(), c)).collect(),
+            },
+            None => Val::Interp(e),
         }
-        let rtn = self.program.routine(id);
-        let scope = rtn.scope();
-        sink.enter(scope);
-        report.loop_stats[scope.index()].entries += 1;
-        // Clone is cheap: bodies are shared trees behind the program, but
-        // borrowck needs the statement list split from `self`.
-        let body: &[Stmt] = rtn.body();
-        let result = self.run_body(body, sink, report, depth);
-        sink.exit(scope);
-        result
+    }
+}
+
+/// A lowered predicate: the [`Pred`] shape with lowered operands.
+#[derive(Debug)]
+enum Test<'p> {
+    True,
+    Cmp(Cmp, Val<'p>, Val<'p>),
+    And(Box<Test<'p>>, Box<Test<'p>>),
+    Or(Box<Test<'p>>, Box<Test<'p>>),
+    Not(Box<Test<'p>>),
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Cmp {
+    Le,
+    Lt,
+    Ge,
+    Gt,
+    Eq,
+    Ne,
+}
+
+impl<'p> Test<'p> {
+    fn lower(p: &'p Pred) -> Test<'p> {
+        let boxed = |p| Box::new(Test::lower(p));
+        let (cmp, a, b) = match p {
+            Pred::True => return Test::True,
+            Pred::And(a, b) => return Test::And(boxed(a), boxed(b)),
+            Pred::Or(a, b) => return Test::Or(boxed(a), boxed(b)),
+            Pred::Not(a) => return Test::Not(boxed(a)),
+            Pred::Le(a, b) => (Cmp::Le, a, b),
+            Pred::Lt(a, b) => (Cmp::Lt, a, b),
+            Pred::Ge(a, b) => (Cmp::Ge, a, b),
+            Pred::Gt(a, b) => (Cmp::Gt, a, b),
+            Pred::Eq(a, b) => (Cmp::Eq, a, b),
+            Pred::Ne(a, b) => (Cmp::Ne, a, b),
+        };
+        Test::Cmp(cmp, Val::lower(a), Val::lower(b))
+    }
+}
+
+/// A lowered reference: everything its bounds check and address need.
+#[derive(Debug)]
+struct Access<'p> {
+    id: RefId,
+    kind: AccessKind,
+    elem_size: u32,
+    base: u64,
+    dims: Box<[Dim<'p>]>,
+    /// Subscript count equals the array's rank; when it does not, every
+    /// execution is out of bounds, as [`reuselens_ir::ArrayDecl::address`]
+    /// would report.
+    rank_ok: bool,
+}
+
+/// One lowered subscript.
+#[derive(Debug)]
+struct Dim<'p> {
+    sub: Val<'p>,
+    extent: u64,
+    /// Bytes one unit of this subscript moves the address (layout-aware).
+    stride: u64,
+}
+
+/// One instruction of the flat plan.
+#[derive(Debug)]
+enum Op<'p> {
+    /// Emits the reference at this index of `Plan::accesses`.
+    Access(usize),
+    Assign {
+        var: usize,
+        value: Val<'p>,
+    },
+    /// Runs ops `pc + 1 .. else_at` when the test holds, else
+    /// `else_at .. end`, then continues at `end`.
+    If {
+        test: Test<'p>,
+        else_at: usize,
+        end: usize,
+    },
+    /// Runs ops `pc + 1 .. end` once per iteration, then continues at
+    /// `end`.
+    Loop {
+        scope: ScopeId,
+        var: usize,
+        step: i64,
+        lower: Val<'p>,
+        upper: Val<'p>,
+        end: usize,
+    },
+    Call(RoutineId),
+}
+
+/// A program lowered for one run: one op array holding every routine
+/// body, plus the references the ops emit.
+#[derive(Debug)]
+struct Plan<'p> {
+    ops: Vec<Op<'p>>,
+    /// Op range of each routine body, indexed by [`RoutineId`].
+    routines: Vec<(usize, usize)>,
+    /// Indexed by [`RefId`].
+    accesses: Vec<Access<'p>>,
+}
+
+impl<'p> Plan<'p> {
+    fn lower(program: &'p Program) -> Plan<'p> {
+        let accesses = program
+            .references()
+            .iter()
+            .map(|r| {
+                let decl = program.array(r.array());
+                let dims = r
+                    .indices()
+                    .iter()
+                    .enumerate()
+                    .map(|(d, e)| {
+                        let (extent, stride) = match decl.dims().get(d) {
+                            Some(&extent) => (extent, decl.byte_stride_of_dim(d)),
+                            None => (0, 0),
+                        };
+                        Dim {
+                            sub: Val::lower(e),
+                            extent,
+                            stride,
+                        }
+                    })
+                    .collect();
+                Access {
+                    id: r.id(),
+                    kind: r.kind(),
+                    elem_size: decl.elem_size(),
+                    base: decl.base(),
+                    dims,
+                    rank_ok: r.indices().len() == decl.dims().len(),
+                }
+            })
+            .collect();
+        let mut plan = Plan {
+            ops: Vec::new(),
+            routines: Vec::with_capacity(program.routines().len()),
+            accesses,
+        };
+        for rtn in program.routines() {
+            let start = plan.ops.len();
+            plan.body(rtn.body());
+            plan.routines.push((start, plan.ops.len()));
+        }
+        plan
     }
 
-    fn run_body<S: TraceSink>(
-        &mut self,
-        body: &[Stmt],
-        sink: &mut S,
-        report: &mut ExecReport,
-        depth: usize,
-    ) -> Result<(), ExecError> {
+    fn body(&mut self, body: &'p [Stmt]) {
         for stmt in body {
             match stmt {
-                Stmt::Access(rid) => self.run_access(*rid, sink, report)?,
-                Stmt::Assign { var, value } => {
-                    let v = self.eval(value)?;
-                    self.vars[var.index()] = v;
-                }
+                Stmt::Access(r) => self.ops.push(Op::Access(r.index())),
+                Stmt::Assign { var, value } => self.ops.push(Op::Assign {
+                    var: var.index(),
+                    value: Val::lower(value),
+                }),
                 Stmt::If {
                     cond,
                     then_body,
                     else_body,
                 } => {
-                    let taken = {
-                        let ctx = self.ctx();
-                        let t = cond.eval(&ctx);
-                        ctx.take_fault()?;
-                        t
-                    };
-                    if taken {
-                        self.run_body(then_body, sink, report, depth)?;
-                    } else {
-                        self.run_body(else_body, sink, report, depth)?;
+                    let head = self.ops.len();
+                    self.ops.push(Op::If {
+                        test: Test::lower(cond),
+                        else_at: 0,
+                        end: 0,
+                    });
+                    self.body(then_body);
+                    let here = self.ops.len();
+                    self.body(else_body);
+                    let there = self.ops.len();
+                    if let Op::If { else_at, end, .. } = &mut self.ops[head] {
+                        (*else_at, *end) = (here, there);
                     }
                 }
-                Stmt::Call(target) => {
-                    self.run_routine(*target, sink, report, depth + 1)?;
-                }
+                Stmt::Call(target) => self.ops.push(Op::Call(*target)),
                 Stmt::Loop(l) => {
-                    let lower = self.eval(l.lower())?;
-                    let upper = self.eval(l.upper())?;
-                    let step = l.step();
-                    let scope = l.scope();
-                    sink.enter(scope);
-                    report.loop_stats[scope.index()].entries += 1;
-                    let mut v = lower;
-                    while (step > 0 && v <= upper) || (step < 0 && v >= upper) {
-                        self.vars[l.var().index()] = v;
-                        report.loop_stats[scope.index()].iterations += 1;
-                        self.run_body(l.body(), sink, report, depth)?;
-                        v += step;
+                    let head = self.ops.len();
+                    self.ops.push(Op::Loop {
+                        scope: l.scope(),
+                        var: l.var().index(),
+                        step: l.step(),
+                        lower: Val::lower(l.lower()),
+                        upper: Val::lower(l.upper()),
+                        end: 0,
+                    });
+                    self.body(l.body());
+                    let there = self.ops.len();
+                    if let Op::Loop { end, .. } = &mut self.ops[head] {
+                        *end = there;
                     }
-                    sink.exit(scope);
                 }
             }
-        }
-        Ok(())
-    }
-
-    fn run_access<S: TraceSink>(
-        &mut self,
-        rid: RefId,
-        sink: &mut S,
-        report: &mut ExecReport,
-    ) -> Result<(), ExecError> {
-        let r = self.program.reference(rid);
-        let decl = self.program.array(r.array());
-        let mut indices = Vec::with_capacity(r.indices().len());
-        {
-            let ctx = self.ctx();
-            for e in r.indices() {
-                indices.push(e.eval(&ctx));
-            }
-            ctx.take_fault()?;
-        }
-        let Some(addr) = decl.address(&indices) else {
-            return Err(ExecError::OutOfBounds {
-                r: rid,
-                indices,
-                array: decl.name().to_string(),
-            });
-        };
-        report.accesses += 1;
-        match r.kind() {
-            reuselens_ir::AccessKind::Load => report.loads += 1,
-            reuselens_ir::AccessKind::Store => report.stores += 1,
-        }
-        sink.access(rid, addr, decl.elem_size(), r.kind());
-        Ok(())
-    }
-
-    fn eval(&self, e: &Expr) -> Result<i64, ExecError> {
-        let ctx = self.ctx();
-        let v = e.eval(&ctx);
-        ctx.take_fault()?;
-        Ok(v)
-    }
-
-    fn ctx(&self) -> Ctx<'_> {
-        Ctx {
-            vars: &self.vars,
-            index_data: &self.index_data,
-            program: self.program,
-            fault: std::cell::RefCell::new(None),
         }
     }
 }
 
-impl Ctx<'_> {
-    fn latch(&self, e: ExecError) {
-        let mut slot = self.fault.borrow_mut();
-        if slot.is_none() {
-            *slot = Some(e);
+/// The state of one run over a [`Plan`].
+///
+/// Fault semantics match a tree walk exactly: an indirect-load fault is
+/// latched (the load yields 0) and evaluation continues to the end of the
+/// statement's expressions, so a later trap still traps; the first
+/// latched fault is then returned before the statement has any effect.
+/// Every fault ends the run, so the latch is never cleared.
+struct Machine<'r, 'p, S> {
+    plan: &'r Plan<'p>,
+    program: &'p Program,
+    vars: &'r mut [i64],
+    index_data: &'r [Option<Vec<i64>>],
+    /// The first indirect-load fault; later ones are dropped.
+    fault: OnceCell<ExecError>,
+    sink: &'r mut S,
+    report: &'r mut ExecReport,
+}
+
+impl<S> EvalCtx for Machine<'_, '_, S> {
+    fn var(&self, v: VarId) -> i64 {
+        self.vars[v.index()]
+    }
+
+    fn load_index(&self, array: ArrayId, indices: &[i64]) -> i64 {
+        let decl = self.program.array(array);
+        let Some(data) = &self.index_data[array.index()] else {
+            let _ = self.fault.set(ExecError::MissingIndexData(array));
+            return 0;
+        };
+        match decl.flat_index(indices) {
+            Some(flat) => data[flat as usize],
+            None => {
+                let _ = self
+                    .fault
+                    .set(ExecError::IndexOutOfBounds(array, indices.to_vec()));
+                0
+            }
+        }
+    }
+}
+
+impl<S: TraceSink> Machine<'_, '_, S> {
+    fn routine(&mut self, id: RoutineId, depth: usize) -> Result<(), ExecError> {
+        if depth >= MAX_CALL_DEPTH {
+            return Err(ExecError::CallDepthExceeded(id));
+        }
+        let scope = self.program.routine(id).scope();
+        self.sink.enter(scope);
+        self.report.loop_stats[scope.index()].entries += 1;
+        let (start, end) = self.plan.routines[id.index()];
+        let result = self.ops(start, end, depth);
+        self.sink.exit(scope);
+        result
+    }
+
+    fn ops(&mut self, start: usize, end: usize, depth: usize) -> Result<(), ExecError> {
+        let plan = self.plan;
+        let mut pc = start;
+        while pc < end {
+            pc = match &plan.ops[pc] {
+                Op::Access(r) => {
+                    self.access(&plan.accesses[*r])?;
+                    pc + 1
+                }
+                Op::Assign { var, value } => {
+                    let v = self.val(value);
+                    self.check_fault()?;
+                    self.vars[*var] = v;
+                    pc + 1
+                }
+                Op::If { test, else_at, end } => {
+                    let taken = self.test(test);
+                    self.check_fault()?;
+                    if taken {
+                        self.ops(pc + 1, *else_at, depth)?;
+                    } else {
+                        self.ops(*else_at, *end, depth)?;
+                    }
+                    *end
+                }
+                Op::Loop {
+                    scope,
+                    var,
+                    step,
+                    lower,
+                    upper,
+                    end,
+                } => {
+                    let lower = self.val(lower);
+                    self.check_fault()?;
+                    let upper = self.val(upper);
+                    self.check_fault()?;
+                    self.sink.enter(*scope);
+                    self.report.loop_stats[scope.index()].entries += 1;
+                    let mut v = lower;
+                    while (*step > 0 && v <= upper) || (*step < 0 && v >= upper) {
+                        self.vars[*var] = v;
+                        self.report.loop_stats[scope.index()].iterations += 1;
+                        self.ops(pc + 1, *end, depth)?;
+                        v += step;
+                    }
+                    self.sink.exit(*scope);
+                    *end
+                }
+                Op::Call(target) => {
+                    self.routine(*target, depth + 1)?;
+                    pc + 1
+                }
+            };
+        }
+        Ok(())
+    }
+
+    #[inline]
+    fn access(&mut self, a: &Access<'_>) -> Result<(), ExecError> {
+        let mut addr = a.base;
+        let mut in_bounds = a.rank_ok;
+        // Every subscript is evaluated before any check, as a tree walk
+        // evaluates the whole subscript list first.
+        for d in a.dims.iter() {
+            let idx = self.val(&d.sub);
+            in_bounds &= idx >= 0 && (idx as u64) < d.extent;
+            addr = addr.wrapping_add((idx as u64).wrapping_mul(d.stride));
+        }
+        self.check_fault()?;
+        if !in_bounds {
+            return Err(self.out_of_bounds(a));
+        }
+        self.report.accesses += 1;
+        match a.kind {
+            AccessKind::Load => self.report.loads += 1,
+            AccessKind::Store => self.report.stores += 1,
+        }
+        self.sink.access(a.id, addr, a.elem_size, a.kind);
+        Ok(())
+    }
+
+    /// Re-evaluates the subscripts for the error. Evaluation has no side
+    /// effects once it ran fault-free, so the values are the ones that
+    /// failed the check.
+    #[cold]
+    fn out_of_bounds(&self, a: &Access<'_>) -> ExecError {
+        let r = self.program.reference(a.id);
+        ExecError::OutOfBounds {
+            r: a.id,
+            indices: a.dims.iter().map(|d| self.val(&d.sub)).collect(),
+            array: self.program.array(r.array()).name().to_string(),
         }
     }
 
-    fn take_fault(&self) -> Result<(), ExecError> {
-        match self.fault.borrow_mut().take() {
-            Some(e) => Err(e),
+    #[inline]
+    fn check_fault(&self) -> Result<(), ExecError> {
+        match self.fault.get() {
+            Some(e) => Err(e.clone()),
             None => Ok(()),
+        }
+    }
+
+    #[inline]
+    fn val(&self, v: &Val<'_>) -> i64 {
+        match v {
+            Val::Affine { constant, terms } => terms.iter().fold(*constant, |acc, &(slot, c)| {
+                acc.wrapping_add(c.wrapping_mul(self.vars[slot]))
+            }),
+            Val::Interp(e) => e.eval(self),
+        }
+    }
+
+    fn test(&self, t: &Test<'_>) -> bool {
+        match t {
+            Test::True => true,
+            Test::Cmp(cmp, a, b) => {
+                let (a, b) = (self.val(a), self.val(b));
+                match cmp {
+                    Cmp::Le => a <= b,
+                    Cmp::Lt => a < b,
+                    Cmp::Ge => a >= b,
+                    Cmp::Gt => a > b,
+                    Cmp::Eq => a == b,
+                    Cmp::Ne => a != b,
+                }
+            }
+            Test::And(a, b) => self.test(a) && self.test(b),
+            Test::Or(a, b) => self.test(a) || self.test(b),
+            Test::Not(a) => !self.test(a),
         }
     }
 }

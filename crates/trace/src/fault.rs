@@ -95,6 +95,7 @@ impl RawColumns {
             last_ref: 0,
             checkpoints: Vec::new(),
             open_scopes: Vec::new(),
+            unbalanced: None,
         }
     }
 

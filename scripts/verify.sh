@@ -8,6 +8,9 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
+# Tier-1 above covers the root package only; this covers every crate's
+# --lib suite too (for example the obs service's shutdown test).
+cargo test -q --workspace
 
 # Failure-path suites, named explicitly so a regression in the
 # fault-tolerant pipeline fails loudly even if test discovery changes:
@@ -23,6 +26,10 @@ cargo test -q --test fault_tolerance
 # timeline/GrainProfile/counter reconciliation), and the exporter
 # golden snapshots.
 cargo test -q -p reuselens-core --test property_oracle
+# Lowered capture vs the tree-walking oracle kept in the test: byte-equal
+# traces, equal reports and errors on random programs and every workload
+# model, and the encoder-side seal agreeing with a full validate.
+cargo test -q -p reuselens-trace --test capture_identity
 cargo test -q -p reuselens-core --test partition_identity
 cargo test -q -p reuselens-cache --test model_vs_sim
 cargo test -q --test obs_identity

@@ -714,5 +714,7 @@ fn locality_analysis_counts_reports() {
     assert_eq!(snap.counter(Counter::ReportsGenerated), 1);
     assert_eq!(snap.stage(Stage::Report).count, 1);
     assert_eq!(snap.stage(Stage::Capture).count, 1);
+    // The in-process capture is sealed by the encoder, not re-decoded.
+    assert_eq!(snap.stage(Stage::Decode).count, 0);
     assert_eq!(snap.counter(Counter::SweepConfigsScored), 1);
 }
