@@ -1,27 +1,40 @@
-//! One-call program analysis: execute a program once, measure reuse at
-//! several granularities.
+//! One-call program analysis: execute a program, measure reuse at several
+//! granularities.
 //!
-//! Two pipelines produce bit-identical profiles:
+//! Three pipelines produce bit-identical profiles:
 //!
-//! * **Online** ([`analyze_program`]) — every grain's analyzer observes the
-//!   event stream while the program is interpreted, as the paper's
-//!   instrumented binaries do.
-//! * **Capture + replay** ([`analyze_program_parallel`]) — the program is
+//! * **Online** ([`analyze_program`]) — one executor feeds a
+//!   [`MultiGrainAnalyzer`], so every grain observes the event stream while
+//!   the program is interpreted, as the paper's instrumented binaries do.
+//! * **Direct per grain** ([`analyze_program_with`] with options that need
+//!   no buffer) — each grain's thread runs its own [`Executor`] straight
+//!   into that grain's analyzer. Nothing is encoded or decoded, and the
+//!   grains run in parallel.
+//! * **Capture + replay** ([`analyze_program_parallel`], or
+//!   [`capture_program`] + [`analyze_buffer_with`]) — the program is
 //!   interpreted exactly once into a compact [`TraceBuffer`]; each grain
-//!   then replays the buffer on its own thread. Decoding the buffer is far
-//!   cheaper than re-interpreting the program, and the per-grain analyzers
-//!   share nothing, so the replays are embarrassingly parallel.
+//!   then decodes the buffer on its own thread.
 //!
-//! The replay pipeline can additionally run each grain through the
-//! constant-space [`SampledAnalyzer`] instead of the exact analyzer: set
-//! [`AnalyzeOptions::sampling`] and use [`analyze_buffer_with`],
-//! [`analyze_program_parallel_with`], or [`analyze_program_degraded`].
-//! Exact mode stays the default and its output is bit-identical to a
-//! build without the knob.
+//! Interpreting the lowered program costs about as much per event as
+//! encoding it: on Sweep3D (mesh 32, 8.9 M events, 2-core Xeon) executing
+//! into a no-op sink takes ≈9–17 ns per event, encoding into the buffer
+//! another ≈16–24 ns, and each grain's decode ≈7–11 ns. Re-executing per
+//! grain is therefore cheaper than capturing once and decoding per grain,
+//! and [`analyze_program_with`] does so unless the options need a buffer:
+//! partitioned replay ([`AnalyzeOptions::replay_threads`] resolving to
+//! more than one thread) cuts the buffer in time, and a limited
+//! [`AnalyzeOptions::budget`] or [`AnalyzeOptions::validate`] runs the
+//! checking decoder. The buffer also stays the unit of storage: the daemon,
+//! the trace store and checkpointed replay work on captured buffers.
+//!
+//! Every grain can run through the constant-space [`SampledAnalyzer`]
+//! instead of the exact analyzer: set [`AnalyzeOptions::sampling`]. Exact
+//! mode stays the default and its output is bit-identical to a build
+//! without the knob.
 //!
 //! ## Fault tolerance
 //!
-//! The replay pipeline is built to run unattended over full application
+//! The grain engine is built to run unattended over full application
 //! executions, so a failing grain must not take the run down with it:
 //!
 //! * every grain thread runs under `catch_unwind` — a panic in one grain's
@@ -37,8 +50,12 @@
 //!   stop with [`BudgetExceeded`] — both carrying diagnostics, neither
 //!   panicking;
 //! * the strict entry points ([`analyze_buffer`],
-//!   [`analyze_program_parallel`]) return `Result` and map the first grain
-//!   failure into an [`AnalysisError`].
+//!   [`analyze_program_parallel`], [`analyze_program_with`]) return
+//!   `Result` and map the first grain failure into an [`AnalysisError`].
+//!
+//! The buffer and direct sources share one engine: panic isolation, the
+//! retry pass, failure reports and telemetry exist once, and the sources
+//! differ only in the call that feeds the grain's analyzer.
 
 use crate::analyzer::{MultiGrainAnalyzer, ReuseAnalyzer};
 use crate::budget::{AnalysisBudget, BudgetExceeded, BudgetProgress};
@@ -79,6 +96,10 @@ pub enum GrainError {
     Decode(DecodeError),
     /// The grain crossed its resource budget.
     Budget(BudgetExceeded),
+    /// The grain's own executor failed (direct execution only). Every
+    /// grain runs the same deterministic program, so every grain reports
+    /// the same error.
+    Exec(ExecError),
 }
 
 impl fmt::Display for GrainError {
@@ -87,6 +108,7 @@ impl fmt::Display for GrainError {
             GrainError::Panicked(msg) => write!(f, "replay thread panicked: {msg}"),
             GrainError::Decode(e) => write!(f, "trace decode failed: {e}"),
             GrainError::Budget(e) => e.fmt(f),
+            GrainError::Exec(e) => e.fmt(f),
         }
     }
 }
@@ -96,7 +118,7 @@ impl Error for GrainError {}
 /// Error from the strict analysis entry points.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AnalysisError {
-    /// The capture run failed in the executor.
+    /// The executor failed, during capture or a grain's direct execution.
     Exec(ExecError),
     /// The validating decoder rejected the trace buffer.
     Decode(DecodeError),
@@ -237,7 +259,8 @@ pub struct AnalysisStats {
 pub struct ReplayTiming {
     /// The grain (block size in bytes) this thread analyzed.
     pub block_size: u64,
-    /// Time spent replaying the buffer through that grain's analyzer.
+    /// Time spent feeding that grain's analyzer: replaying the buffer, or
+    /// executing the program on a direct run.
     pub wall: Duration,
 }
 
@@ -412,6 +435,7 @@ impl PartialAnalysis {
             Some(f) => Err(match f.error {
                 GrainError::Decode(e) => AnalysisError::Decode(e),
                 GrainError::Budget(e) => AnalysisError::Budget(e),
+                GrainError::Exec(e) => AnalysisError::Exec(e),
                 GrainError::Panicked(message) => AnalysisError::GrainPanicked {
                     block_size: f.block_size,
                     message,
@@ -504,33 +528,84 @@ struct GrainFailure {
     events: u64,
 }
 
-/// Forwards a replay stream to a [`GrainAnalyzer`] while publishing the
-/// number of events delivered into an atomic cell — progress stays
-/// readable after the analyzer panics mid-stream, at batch granularity.
-struct CountingSink<'a> {
-    inner: &'a mut GrainAnalyzer,
-    events: &'a AtomicU64,
+/// One grain's completed measurement, before it is folded into a
+/// [`PartialAnalysis`].
+struct GrainDone {
+    profile: ReuseProfile,
+    timing: ReplayTiming,
+    /// Final order-statistic tree size (see [`replay_grain`]).
+    tree_nodes: u64,
+    /// Events the grain's analyzer observed.
+    events: u64,
+    /// The executor's report, when the grain ran its own executor.
+    exec: Option<ExecReport>,
 }
 
-impl TraceSink for CountingSink<'_> {
+/// Where one grain's events come from.
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    /// Decoding a sealed or imported capture.
+    Buffer(&'a TraceBuffer),
+    /// Running the program on the grain's own [`Executor`], seeded with
+    /// these index arrays.
+    Execute(&'a [(ArrayId, Vec<i64>)]),
+}
+
+/// Forwards an event stream to a grain's analyzer while counting events
+/// locally, publishing the count into `published` every [`GUARDED_BATCH`]
+/// events and when dropped. Progress stays readable after the analyzer
+/// panics mid-stream, at batch granularity, without an atomic
+/// read-modify-write per event.
+struct CountingSink<'a, S> {
+    inner: &'a mut S,
+    events: u64,
+    published: &'a AtomicU64,
+}
+
+impl<'a, S> CountingSink<'a, S> {
+    fn new(inner: &'a mut S, published: &'a AtomicU64) -> CountingSink<'a, S> {
+        CountingSink {
+            inner,
+            events: 0,
+            published,
+        }
+    }
+
+    #[inline]
+    fn count(&mut self, n: u64) {
+        let before = self.events;
+        self.events += n;
+        if before / GUARDED_BATCH as u64 != self.events / GUARDED_BATCH as u64 {
+            self.published.store(self.events, Ordering::Relaxed);
+        }
+    }
+}
+
+impl<S> Drop for CountingSink<'_, S> {
+    fn drop(&mut self) {
+        self.published.store(self.events, Ordering::Relaxed);
+    }
+}
+
+impl<S: TraceSink> TraceSink for CountingSink<'_, S> {
     fn access(&mut self, r: RefId, addr: u64, size: u32, kind: AccessKind) {
-        self.events.fetch_add(1, Ordering::Relaxed);
+        self.count(1);
         self.inner.access(r, addr, size, kind);
     }
     fn enter(&mut self, scope: ScopeId) {
-        self.events.fetch_add(1, Ordering::Relaxed);
+        self.count(1);
         self.inner.enter(scope);
     }
     fn exit(&mut self, scope: ScopeId) {
-        self.events.fetch_add(1, Ordering::Relaxed);
+        self.count(1);
         self.inner.exit(scope);
     }
     fn access_batch(&mut self, batch: &[AccessRecord]) {
-        self.events.fetch_add(batch.len() as u64, Ordering::Relaxed);
+        self.count(batch.len() as u64);
         self.inner.access_batch(batch);
     }
     fn access_soa(&mut self, batch: &SoaBatch) {
-        self.events.fetch_add(batch.len() as u64, Ordering::Relaxed);
+        self.count(batch.len() as u64);
         self.inner.access_soa(batch);
     }
 }
@@ -561,6 +636,67 @@ impl TraceSink for GrainAnalyzer {
             GrainAnalyzer::Sampled(a) => a.access_batch(batch),
         }
     }
+}
+
+/// Forwards the executor's stream to a grain's analyzer, holding back
+/// every exit that does not close the innermost open scope. The executor
+/// emits such exits only on its fault path — it closes the routines on the
+/// call stack but not the loops the fault left open — and a capture
+/// latches the same mismatch in [`TraceBuffer::exit`]. The analyzer never
+/// sees them, so the run ends with the executor's error, not a panic.
+struct Balanced<S> {
+    inner: S,
+    open: Vec<ScopeId>,
+    unbalanced: bool,
+}
+
+impl<S: TraceSink> TraceSink for Balanced<S> {
+    fn access(&mut self, r: RefId, addr: u64, size: u32, kind: AccessKind) {
+        self.inner.access(r, addr, size, kind);
+    }
+    fn enter(&mut self, scope: ScopeId) {
+        self.open.push(scope);
+        self.inner.enter(scope);
+    }
+    fn exit(&mut self, scope: ScopeId) {
+        if self.open.last() == Some(&scope) {
+            self.open.pop();
+            self.inner.exit(scope);
+        } else {
+            self.unbalanced = true;
+        }
+    }
+}
+
+/// Runs `program` on a fresh executor straight into `sink`, counting
+/// events into `progress`.
+///
+/// # Panics
+///
+/// Panics if a run that succeeded emitted an unbalanced exit, which only a
+/// ReuseLens bug can cause (the counterpart of a failed
+/// [`TraceBuffer::seal`] in [`capture_program`]).
+fn execute_into<S: TraceSink>(
+    program: &Program,
+    index_arrays: &[(ArrayId, Vec<i64>)],
+    sink: &mut S,
+    progress: &AtomicU64,
+) -> Result<ExecReport, GrainError> {
+    let mut exec = Executor::new(program);
+    for (arr, data) in index_arrays {
+        exec.set_index_array(*arr, data.clone());
+    }
+    let mut balanced = Balanced {
+        inner: CountingSink::new(sink, progress),
+        open: Vec::new(),
+        unbalanced: false,
+    };
+    let report = exec.run(&mut balanced).map_err(GrainError::Exec)?;
+    assert!(
+        !balanced.unbalanced,
+        "in-process execution emitted an unbalanced scope exit"
+    );
+    Ok(report)
 }
 
 /// Replays `buffer` through `analyzer` on the validating decoder,
@@ -623,14 +759,42 @@ fn replay_guarded(
     check(analyzer, events)
 }
 
-/// One grain's replay, panic-isolated. Runs on the grain's own thread in
-/// the parallel phase and on the caller's thread in the retry pass.
+/// Counts a finished profile's analyzer work on the recorder.
+fn record_profile(block_size: u64, profile: &ReuseProfile) {
+    match profile.sampling {
+        None => {
+            obs::add(obs::Counter::BlocksTracked, profile.distinct_blocks);
+            // Every measured (non-cold) reuse re-keys its block's node on
+            // the order-statistic tree with one fused reinsert.
+            obs::add(
+                obs::Counter::TreeReinserts,
+                profile.total_accesses - profile.total_cold(),
+            );
+        }
+        Some(info) => {
+            obs::add(obs::Counter::BlocksSampled, info.blocks_sampled);
+            obs::add(obs::Counter::BlocksEvicted, info.blocks_evicted);
+            obs::add(obs::Counter::SampleRateDrops, info.rate_drops);
+            obs::set_gauge(obs::Gauge::SamplingInvRate, info.inv);
+            if info.rate_drops > 0 {
+                obs::emit(obs::EventKind::SampleRateDropped {
+                    grain: block_size,
+                    inv_rate: info.inv,
+                    evicted: info.blocks_evicted,
+                });
+            }
+        }
+    }
+}
+
+/// One grain's measurement, panic-isolated. Runs on the grain's own thread
+/// in the parallel phase and on the caller's thread in the retry pass.
 fn replay_grain(
     program: &Program,
-    buffer: &TraceBuffer,
+    source: Source<'_>,
     block_size: u64,
     opts: &AnalyzeOptions,
-) -> Result<(ReuseProfile, ReplayTiming, u64), GrainFailure> {
+) -> Result<GrainDone, GrainFailure> {
     let mut span = obs::span_with(obs::Stage::Replay, || obs::TimelineArgs {
         grain: Some(block_size),
         ..obs::TimelineArgs::default()
@@ -641,94 +805,208 @@ fn replay_grain(
     // still leaves behind how many events it had processed.
     let progress = AtomicU64::new(0);
     let outcome = panic::catch_unwind(AssertUnwindSafe(
-        || -> Result<(ReuseProfile, u64), GrainError> {
-            let parts = opts.replay_threads.resolve();
-            if parts > 1 && !matches!(opts.sampling, SamplingConfig::Adaptive { .. }) {
-                // Validate-first: the partitioned engine replays segments
-                // on the unchecked fast path, so an explicit validation
-                // request runs the checking decoder over the whole buffer
-                // up front and surfaces the same `Decode` errors.
-                if opts.validate {
-                    buffer.validate().map_err(GrainError::Decode)?;
+        || -> Result<(ReuseProfile, u64, Option<ExecReport>), GrainError> {
+            if let Source::Buffer(buffer) = source {
+                let parts = opts.replay_threads.resolve();
+                if parts > 1 && !matches!(opts.sampling, SamplingConfig::Adaptive { .. }) {
+                    // Validate-first: the partitioned engine replays
+                    // segments on the unchecked fast path, so an explicit
+                    // validation request runs the checking decoder over the
+                    // whole buffer up front and surfaces the same `Decode`
+                    // errors.
+                    if opts.validate {
+                        buffer.validate().map_err(GrainError::Decode)?;
+                    }
+                    let (profile, tree_nodes) = replay_partitioned(
+                        program,
+                        buffer,
+                        block_size,
+                        parts,
+                        opts.sampling,
+                        &opts.budget,
+                    )?;
+                    progress.store(buffer.events(), Ordering::Relaxed);
+                    return Ok((profile, tree_nodes, None));
                 }
-                return replay_partitioned(
-                    program,
-                    buffer,
-                    block_size,
-                    parts,
-                    opts.sampling,
-                    &opts.budget,
-                );
             }
             let mut analyzer = GrainAnalyzer::new(program, block_size, opts.sampling);
-            if opts.validate || !opts.budget.is_unlimited() {
-                replay_guarded(buffer, &mut analyzer, &opts.budget, &progress)?;
-            } else {
-                let mut counting = CountingSink {
-                    inner: &mut analyzer,
-                    events: &progress,
-                };
-                buffer.replay(&mut counting);
-            }
+            let exec = match source {
+                Source::Buffer(buffer) if opts.validate || !opts.budget.is_unlimited() => {
+                    replay_guarded(buffer, &mut analyzer, &opts.budget, &progress)?;
+                    None
+                }
+                Source::Buffer(buffer) => {
+                    buffer.replay(&mut CountingSink::new(&mut analyzer, &progress));
+                    None
+                }
+                // One dispatch on the engine per grain, not per event.
+                Source::Execute(index_arrays) => Some(match &mut analyzer {
+                    GrainAnalyzer::Exact(a) => execute_into(program, index_arrays, a, &progress),
+                    GrainAnalyzer::Sampled(a) => execute_into(program, index_arrays, a, &progress),
+                }?),
+            };
             // The exact tree only grows during a replay, so its final size
             // is also its peak; a sampled tree shrinks on eviction, making
             // this the final *tracked* count. Measured before `finish`
             // consumes the analyzer.
             let tree_nodes = analyzer.tree_nodes() as u64;
-            Ok((analyzer.finish(), tree_nodes))
+            Ok((analyzer.finish(), tree_nodes, exec))
         },
     ));
+    let events = progress.load(Ordering::Relaxed);
     match outcome {
-        Ok(Ok((profile, tree_nodes))) => {
-            match profile.sampling {
-                None => {
-                    obs::add(obs::Counter::BlocksTracked, profile.distinct_blocks);
-                    // Every measured (non-cold) reuse re-keys its block's
-                    // node on the order-statistic tree with one fused
-                    // reinsert.
-                    obs::add(
-                        obs::Counter::TreeReinserts,
-                        profile.total_accesses - profile.total_cold(),
-                    );
-                }
-                Some(info) => {
-                    obs::add(obs::Counter::BlocksSampled, info.blocks_sampled);
-                    obs::add(obs::Counter::BlocksEvicted, info.blocks_evicted);
-                    obs::add(obs::Counter::SampleRateDrops, info.rate_drops);
-                    obs::set_gauge(obs::Gauge::SamplingInvRate, info.inv);
-                    if info.rate_drops > 0 {
-                        obs::emit(obs::EventKind::SampleRateDropped {
-                            grain: block_size,
-                            inv_rate: info.inv,
-                            evicted: info.blocks_evicted,
-                        });
-                    }
-                }
-            }
+        Ok(Ok((profile, tree_nodes, exec))) => {
+            record_profile(block_size, &profile);
             span.record(|args| {
-                args.events = Some(buffer.events());
+                args.events = Some(events);
                 args.distinct_blocks = Some(profile.distinct_blocks);
                 args.tree_nodes = Some(tree_nodes);
                 args.sample_inv = profile.sampling.map(|s| s.inv);
             });
-            Ok((
+            Ok(GrainDone {
                 profile,
-                ReplayTiming {
+                timing: ReplayTiming {
                     block_size,
                     wall: start.elapsed(),
                 },
                 tree_nodes,
-            ))
+                events,
+                exec,
+            })
         }
-        Ok(Err(error)) => Err(GrainFailure {
-            error,
-            events: progress.load(Ordering::Relaxed),
-        }),
+        Ok(Err(error)) => Err(GrainFailure { error, events }),
         Err(payload) => Err(GrainFailure {
             error: GrainError::Panicked(panic_message(payload.as_ref())),
-            events: progress.load(Ordering::Relaxed),
+            events,
         }),
     }
+}
+
+/// Folds one grain's final outcome into `partial` with its completion or
+/// failure telemetry. Returns the executor report a directly executed
+/// grain carries.
+fn fold_grain(
+    partial: &mut PartialAnalysis,
+    block_size: u64,
+    outcome: Result<GrainDone, GrainFailure>,
+    retried: bool,
+    opts: &AnalyzeOptions,
+) -> Option<ExecReport> {
+    match outcome {
+        Ok(done) => {
+            let profile = &done.profile;
+            obs::add(obs::Counter::GrainsCompleted, 1);
+            obs::emit(obs::EventKind::GrainCompleted {
+                grain: block_size,
+                events: done.events,
+                distinct_blocks: profile.distinct_blocks,
+                wall_ns: done.timing.wall.as_nanos() as u64,
+            });
+            obs::record_grain(&obs::GrainProfile {
+                block_size,
+                wall: done.timing.wall,
+                events: done.events,
+                distinct_blocks: profile.distinct_blocks,
+                tree_nodes: done.tree_nodes,
+                status: if retried {
+                    obs::GrainStatus::Retried
+                } else {
+                    obs::GrainStatus::Completed
+                },
+                blocks_sampled: profile.sampling.map_or(0, |s| s.blocks_sampled),
+                blocks_evicted: profile.sampling.map_or(0, |s| s.blocks_evicted),
+                sample_inv: profile.sampling.map_or(0, |s| s.inv),
+            });
+            partial.profiles.push(done.profile);
+            partial.replays.push(done.timing);
+            done.exec
+        }
+        Err(failure) => {
+            obs::add(obs::Counter::GrainsFailed, 1);
+            obs::emit(obs::EventKind::GrainFailed {
+                grain: block_size,
+                reason: failure.error.to_string(),
+                job: opts.job.clone(),
+            });
+            obs::record_grain(&obs::GrainProfile {
+                block_size,
+                wall: Duration::ZERO,
+                events: failure.events,
+                distinct_blocks: 0,
+                tree_nodes: 0,
+                status: obs::GrainStatus::Failed,
+                blocks_sampled: 0,
+                blocks_evicted: 0,
+                sample_inv: 0,
+            });
+            partial.failures.push(FailureReport {
+                block_size,
+                error: failure.error,
+                retried,
+                events: failure.events,
+                job: opts.job.clone(),
+            });
+            None
+        }
+    }
+}
+
+/// The fault-tolerant grain engine behind [`analyze_buffer_with`] and
+/// [`analyze_program_with`]: one fresh analyzer per block size, each fed
+/// from `source` on its own thread under panic isolation, then one
+/// sequential retry per panicked grain (when [`AnalyzeOptions::retry`] is
+/// set). Also returns the first executor report a grain produced.
+fn analyze_grains(
+    program: &Program,
+    source: Source<'_>,
+    block_sizes: &[u64],
+    opts: &AnalyzeOptions,
+) -> (PartialAnalysis, Option<ExecReport>) {
+    obs::add(obs::Counter::GrainsRequested, block_sizes.len() as u64);
+    let outcomes: Vec<Result<GrainDone, GrainFailure>> = std::thread::scope(|s| {
+        let handles: Vec<_> = block_sizes
+            .iter()
+            .map(|&block_size| s.spawn(move || replay_grain(program, source, block_size, opts)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| match h.join() {
+                Ok(outcome) => outcome,
+                // `replay_grain` catches panics itself; this arm is a
+                // backstop for panics outside the catch (e.g. in the
+                // timing code).
+                Err(payload) => Err(GrainFailure {
+                    error: GrainError::Panicked(panic_message(payload.as_ref())),
+                    events: 0,
+                }),
+            })
+            .collect()
+    });
+    let mut partial = PartialAnalysis {
+        profiles: Vec::new(),
+        replays: Vec::new(),
+        failures: Vec::new(),
+    };
+    let mut exec = None;
+    for (&block_size, outcome) in block_sizes.iter().zip(outcomes) {
+        let (outcome, retried) = match outcome {
+            // A panicked grain gets one sequential retry on an otherwise
+            // idle machine; other failures are deterministic, so retrying
+            // them would only repeat the work.
+            Err(GrainFailure {
+                error: GrainError::Panicked(_),
+                ..
+            }) if opts.retry => {
+                obs::add(obs::Counter::GrainsRetried, 1);
+                obs::emit(obs::EventKind::GrainRetried { grain: block_size });
+                (replay_grain(program, source, block_size, opts), true)
+            }
+            other => (other, false),
+        };
+        let report = fold_grain(&mut partial, block_size, outcome, retried, opts);
+        exec = exec.or(report);
+    }
+    (partial, exec)
 }
 
 /// The fault-tolerant replay engine: one fresh [`ReuseAnalyzer`] per block
@@ -747,105 +1025,67 @@ pub fn analyze_buffer_with(
     block_sizes: &[u64],
     opts: &AnalyzeOptions,
 ) -> PartialAnalysis {
-    obs::add(obs::Counter::GrainsRequested, block_sizes.len() as u64);
-    let outcomes: Vec<Result<(ReuseProfile, ReplayTiming, u64), GrainFailure>> =
-        std::thread::scope(|s| {
-            let handles: Vec<_> = block_sizes
-                .iter()
-                .map(|&block_size| s.spawn(move || replay_grain(program, buffer, block_size, opts)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(outcome) => outcome,
-                    // `replay_grain` catches panics itself; this arm is a
-                    // backstop for panics outside the catch (e.g. in the
-                    // timing code).
-                    Err(payload) => Err(GrainFailure {
-                        error: GrainError::Panicked(panic_message(payload.as_ref())),
-                        events: 0,
-                    }),
-                })
-                .collect()
-        });
-    let mut profiles = Vec::new();
-    let mut replays = Vec::new();
-    let mut failures = Vec::new();
-    for (&block_size, outcome) in block_sizes.iter().zip(outcomes) {
-        let (outcome, retried) = match outcome {
-            // A panicked grain gets one sequential retry on an otherwise
-            // idle machine; decode and budget failures are deterministic,
-            // so retrying them would only repeat the work.
-            Err(GrainFailure {
-                error: GrainError::Panicked(_),
-                ..
-            }) if opts.retry => {
-                obs::add(obs::Counter::GrainsRetried, 1);
-                obs::emit(obs::EventKind::GrainRetried { grain: block_size });
-                (replay_grain(program, buffer, block_size, opts), true)
-            }
-            other => (other, false),
-        };
-        match outcome {
-            Ok((profile, timing, tree_nodes)) => {
-                obs::add(obs::Counter::GrainsCompleted, 1);
-                obs::emit(obs::EventKind::GrainCompleted {
-                    grain: block_size,
-                    events: buffer.events(),
-                    distinct_blocks: profile.distinct_blocks,
-                    wall_ns: timing.wall.as_nanos() as u64,
-                });
-                obs::record_grain(&obs::GrainProfile {
-                    block_size,
-                    wall: timing.wall,
-                    events: buffer.events(),
-                    distinct_blocks: profile.distinct_blocks,
-                    tree_nodes,
-                    status: if retried {
-                        obs::GrainStatus::Retried
-                    } else {
-                        obs::GrainStatus::Completed
-                    },
-                    blocks_sampled: profile.sampling.map_or(0, |s| s.blocks_sampled),
-                    blocks_evicted: profile.sampling.map_or(0, |s| s.blocks_evicted),
-                    sample_inv: profile.sampling.map_or(0, |s| s.inv),
-                });
-                profiles.push(profile);
-                replays.push(timing);
-            }
-            Err(failure) => {
-                obs::add(obs::Counter::GrainsFailed, 1);
-                obs::emit(obs::EventKind::GrainFailed {
-                    grain: block_size,
-                    reason: failure.error.to_string(),
-                    job: opts.job.clone(),
-                });
-                obs::record_grain(&obs::GrainProfile {
-                    block_size,
-                    wall: Duration::ZERO,
-                    events: failure.events,
-                    distinct_blocks: 0,
-                    tree_nodes: 0,
-                    status: obs::GrainStatus::Failed,
-                    blocks_sampled: 0,
-                    blocks_evicted: 0,
-                    sample_inv: 0,
-                });
-                failures.push(FailureReport {
-                    block_size,
-                    error: failure.error,
-                    retried,
-                    events: failure.events,
-                    job: opts.job.clone(),
-                });
-            }
+    analyze_grains(program, Source::Buffer(buffer), block_sizes, opts).0
+}
+
+/// Measures reuse at every block size with full [`AnalyzeOptions`]
+/// control, choosing the cheapest event source the options allow — the
+/// one entry point the end-to-end pipelines call.
+///
+/// With a serial [`AnalyzeOptions::replay_threads`], an unlimited budget
+/// and no [`AnalyzeOptions::validate`], each grain's thread runs its own
+/// [`Executor`] straight into its analyzer: no trace is encoded or
+/// decoded. Otherwise the program is captured once and replayed per grain
+/// ([`analyze_program_parallel_with`]), because partitioned replay, budget
+/// checks and validation work on a buffer. Both sources produce
+/// bit-identical profiles and the same [`ExecReport`].
+///
+/// # Errors
+///
+/// Returns the executor's error as [`AnalysisError::Exec`], exactly as a
+/// capture would, and the first grain failure otherwise.
+///
+/// # Examples
+///
+/// ```
+/// use reuselens_core::{analyze_program_parallel, analyze_program_with, AnalyzeOptions};
+/// use reuselens_ir::ProgramBuilder;
+///
+/// let mut p = ProgramBuilder::new("demo");
+/// let a = p.array("a", 8, &[256]);
+/// p.routine("main", |r| {
+///     r.for_("t", 0, 2, |r, _| {
+///         r.for_("i", 0, 255, |r, i| {
+///             r.load(a, vec![i.into()]);
+///         });
+///     });
+/// });
+/// let prog = p.finish();
+/// let direct = analyze_program_with(&prog, &[64, 4096], vec![], &AnalyzeOptions::default())?;
+/// let (replayed, _) = analyze_program_parallel(&prog, &[64, 4096], vec![])?;
+/// assert_eq!(direct, replayed);
+/// # Ok::<(), reuselens_core::AnalysisError>(())
+/// ```
+pub fn analyze_program_with(
+    program: &Program,
+    block_sizes: &[u64],
+    index_arrays: Vec<(ArrayId, Vec<i64>)>,
+    opts: &AnalyzeOptions,
+) -> Result<AnalysisResult, AnalysisError> {
+    let needs_buffer =
+        opts.replay_threads.resolve() > 1 || !opts.budget.is_unlimited() || opts.validate;
+    if !needs_buffer {
+        let (partial, exec) =
+            analyze_grains(program, Source::Execute(&index_arrays), block_sizes, opts);
+        let (profiles, _) = partial.into_strict()?;
+        // Every grain ran the executor; only an empty grain list leaves no
+        // report, and the capture below produces it.
+        if let Some(exec) = exec {
+            return Ok(AnalysisResult { profiles, exec });
         }
     }
-    PartialAnalysis {
-        profiles,
-        replays,
-        failures,
-    }
+    analyze_program_parallel_with(program, block_sizes, index_arrays, opts)
+        .map(|(result, _stats)| result)
 }
 
 /// Replays a captured buffer through one fresh [`ReuseAnalyzer`] per block
@@ -892,8 +1132,7 @@ pub struct CheckpointOptions {
 /// How one checkpointed grain ended: completed, failed as a grain (kept
 /// as a [`FailureReport`]), or hit a checkpoint-infrastructure error that
 /// fails the whole call.
-type CkptGrainOutcome =
-    Result<Result<(ReuseProfile, ReplayTiming, u64), GrainFailure>, SnapshotError>;
+type CkptGrainOutcome = Result<Result<GrainDone, GrainFailure>, SnapshotError>;
 
 /// Scans the checkpoint directory for this grain's snapshots, newest
 /// first, and rebuilds the analyzer from the first one that passes every
@@ -1082,42 +1321,23 @@ fn replay_grain_checkpointed(
     ));
     match outcome {
         Ok(Ok(Ok((profile, tree_nodes)))) => {
-            match profile.sampling {
-                None => {
-                    obs::add(obs::Counter::BlocksTracked, profile.distinct_blocks);
-                    obs::add(
-                        obs::Counter::TreeReinserts,
-                        profile.total_accesses - profile.total_cold(),
-                    );
-                }
-                Some(info) => {
-                    obs::add(obs::Counter::BlocksSampled, info.blocks_sampled);
-                    obs::add(obs::Counter::BlocksEvicted, info.blocks_evicted);
-                    obs::add(obs::Counter::SampleRateDrops, info.rate_drops);
-                    obs::set_gauge(obs::Gauge::SamplingInvRate, info.inv);
-                    if info.rate_drops > 0 {
-                        obs::emit(obs::EventKind::SampleRateDropped {
-                            grain: block_size,
-                            inv_rate: info.inv,
-                            evicted: info.blocks_evicted,
-                        });
-                    }
-                }
-            }
+            record_profile(block_size, &profile);
             span.record(|args| {
                 args.events = Some(buffer.events());
                 args.distinct_blocks = Some(profile.distinct_blocks);
                 args.tree_nodes = Some(tree_nodes);
                 args.sample_inv = profile.sampling.map(|s| s.inv);
             });
-            Ok(Ok((
+            Ok(Ok(GrainDone {
                 profile,
-                ReplayTiming {
+                timing: ReplayTiming {
                     block_size,
                     wall: start.elapsed(),
                 },
                 tree_nodes,
-            )))
+                events: buffer.events(),
+                exec: None,
+            }))
         }
         Ok(Ok(Err(error))) => Ok(Err(GrainFailure {
             error,
@@ -1177,9 +1397,11 @@ pub fn analyze_buffer_checkpointed(
         message: e.to_string(),
     })?;
     obs::add(obs::Counter::GrainsRequested, block_sizes.len() as u64);
-    let mut profiles = Vec::new();
-    let mut replays = Vec::new();
-    let mut failures = Vec::new();
+    let mut partial = PartialAnalysis {
+        profiles: Vec::new(),
+        replays: Vec::new(),
+        failures: Vec::new(),
+    };
     for &block_size in block_sizes {
         let outcome = replay_grain_checkpointed(program, buffer, block_size, opts, ckpt)?;
         let (outcome, retried) = match outcome {
@@ -1196,66 +1418,9 @@ pub fn analyze_buffer_checkpointed(
             }
             other => (other, false),
         };
-        match outcome {
-            Ok((profile, timing, tree_nodes)) => {
-                obs::add(obs::Counter::GrainsCompleted, 1);
-                obs::emit(obs::EventKind::GrainCompleted {
-                    grain: block_size,
-                    events: buffer.events(),
-                    distinct_blocks: profile.distinct_blocks,
-                    wall_ns: timing.wall.as_nanos() as u64,
-                });
-                obs::record_grain(&obs::GrainProfile {
-                    block_size,
-                    wall: timing.wall,
-                    events: buffer.events(),
-                    distinct_blocks: profile.distinct_blocks,
-                    tree_nodes,
-                    status: if retried {
-                        obs::GrainStatus::Retried
-                    } else {
-                        obs::GrainStatus::Completed
-                    },
-                    blocks_sampled: profile.sampling.map_or(0, |s| s.blocks_sampled),
-                    blocks_evicted: profile.sampling.map_or(0, |s| s.blocks_evicted),
-                    sample_inv: profile.sampling.map_or(0, |s| s.inv),
-                });
-                profiles.push(profile);
-                replays.push(timing);
-            }
-            Err(failure) => {
-                obs::add(obs::Counter::GrainsFailed, 1);
-                obs::emit(obs::EventKind::GrainFailed {
-                    grain: block_size,
-                    reason: failure.error.to_string(),
-                    job: opts.job.clone(),
-                });
-                obs::record_grain(&obs::GrainProfile {
-                    block_size,
-                    wall: Duration::ZERO,
-                    events: failure.events,
-                    distinct_blocks: 0,
-                    tree_nodes: 0,
-                    status: obs::GrainStatus::Failed,
-                    blocks_sampled: 0,
-                    blocks_evicted: 0,
-                    sample_inv: 0,
-                });
-                failures.push(FailureReport {
-                    block_size,
-                    error: failure.error,
-                    retried,
-                    events: failure.events,
-                    job: opts.job.clone(),
-                });
-            }
-        }
+        fold_grain(&mut partial, block_size, outcome, retried, opts);
     }
-    Ok(PartialAnalysis {
-        profiles,
-        replays,
-        failures,
-    })
+    Ok(partial)
 }
 
 /// Capture-once / replay-many variant of [`analyze_program`]: interprets

@@ -20,10 +20,11 @@
 //! * a [dynamic scope stack](ScopeStack) searched for the carrying scope;
 //! * per-pattern [histograms](Histogram) with logarithmic bins.
 //!
-//! Start with [`analyze_program`] for the one-call API, or
-//! [`analyze_program_parallel`] to interpret the program once into a
-//! compact trace buffer and replay it concurrently — one thread per block
-//! granularity, with bit-identical profiles. Or drive a
+//! Start with [`analyze_program`] for the one-call API,
+//! [`analyze_program_with`] to run one executor per block granularity in
+//! parallel under [`AnalyzeOptions`], or [`analyze_program_parallel`] to
+//! interpret the program once into a compact trace buffer and replay it
+//! concurrently — all with bit-identical profiles. Or drive a
 //! [`ReuseAnalyzer`] / [`MultiGrainAnalyzer`] through
 //! [`reuselens_trace::Executor`] yourself.
 
@@ -52,7 +53,7 @@ mod timebits;
 pub use analyze::{
     analyze_buffer, analyze_buffer_checkpointed, analyze_buffer_with, analyze_program,
     analyze_program_degraded, analyze_program_parallel, analyze_program_parallel_with,
-    capture_program, AnalysisError, AnalysisResult, AnalysisStats,
+    analyze_program_with, capture_program, AnalysisError, AnalysisResult, AnalysisStats,
     AnalyzeOptions, CheckpointOptions, FailureReport, GrainError, PartialAnalysis, ReplayTiming,
 };
 pub use analyzer::{MultiGrainAnalyzer, ReuseAnalyzer};

@@ -3,13 +3,12 @@
 use crate::attribution::LevelMetrics;
 use reuselens_cache::{report_from_analysis, HierarchyReport, MemoryHierarchy, ReuseLensError};
 use reuselens_core::{
-    analyze_buffer_checkpointed, analyze_buffer_with, capture_program, AnalysisResult,
+    analyze_buffer_checkpointed, analyze_program_with, capture_program, AnalysisResult,
     AnalyzeOptions, CheckpointOptions, SamplingConfig,
 };
 use reuselens_ir::{ArrayId, Program, RefId};
 use reuselens_obs as obs;
 use reuselens_static::{estimate_profiles, StaticAnalysis};
-use reuselens_trace::ExecError;
 
 /// Everything the toolchain produces for one program on one hierarchy:
 /// per-level predictions, per-level attribution metrics, and the static
@@ -47,14 +46,15 @@ impl LocalityAnalysis {
     }
 }
 
-/// Runs the complete pipeline: one execution measuring reuse at every
-/// granularity the hierarchy needs, per-level miss prediction, static
-/// analysis, and per-level attribution.
+/// Runs the complete pipeline: reuse measured at every granularity the
+/// hierarchy needs (one executor per granularity, in parallel), per-level
+/// miss prediction, static analysis, and per-level attribution.
 ///
 /// # Errors
 ///
-/// Propagates executor errors (out-of-bounds accesses, missing index-array
-/// contents).
+/// Returns executor errors (out-of-bounds accesses, missing index-array
+/// contents) as [`ReuseLensError::Exec`], and any grain failure as its
+/// typed [`ReuseLensError`].
 ///
 /// # Examples
 ///
@@ -78,31 +78,31 @@ impl LocalityAnalysis {
 /// let t = prog.scope_by_name("t").unwrap();
 /// // The repeat loop carries the L2 capacity misses.
 /// assert_eq!(l2.top_carriers()[0].0, t);
-/// # Ok::<(), reuselens_trace::ExecError>(())
+/// # Ok::<(), reuselens_cache::ReuseLensError>(())
 /// ```
 pub fn run_locality_analysis(
     program: &Program,
     hierarchy: &MemoryHierarchy,
     index_arrays: Vec<(ArrayId, Vec<i64>)>,
-) -> Result<LocalityAnalysis, ExecError> {
+) -> Result<LocalityAnalysis, ReuseLensError> {
     run_locality_analysis_sampled(program, hierarchy, index_arrays, SamplingConfig::Exact)
 }
 
 /// [`run_locality_analysis`] with an explicit [`SamplingConfig`]: every
-/// granularity replays through the constant-space sampled analyzer, and
+/// granularity runs through the constant-space sampled analyzer, and
 /// the miss predictions and attribution metrics are computed from the
 /// scaled histograms. [`SamplingConfig::Exact`] reproduces
 /// [`run_locality_analysis`] bit for bit.
 ///
 /// # Errors
 ///
-/// Propagates executor errors, like [`run_locality_analysis`].
+/// Like [`run_locality_analysis`].
 pub fn run_locality_analysis_sampled(
     program: &Program,
     hierarchy: &MemoryHierarchy,
     index_arrays: Vec<(ArrayId, Vec<i64>)>,
     sampling: SamplingConfig,
-) -> Result<LocalityAnalysis, ExecError> {
+) -> Result<LocalityAnalysis, ReuseLensError> {
     let opts = AnalyzeOptions {
         sampling,
         ..AnalyzeOptions::default()
@@ -116,25 +116,22 @@ pub fn run_locality_analysis_sampled(
 /// `--replay-threads` flags plumb into. Default options reproduce
 /// [`run_locality_analysis`] bit for bit.
 ///
+/// The measurement goes through [`analyze_program_with`]: each grain runs
+/// its own executor unless partitioned replay, a budget or validation
+/// needs a captured buffer.
+///
 /// # Errors
 ///
-/// Propagates executor errors, like [`run_locality_analysis`].
+/// Like [`run_locality_analysis`]; a crossed budget is
+/// [`ReuseLensError::Budget`].
 pub fn run_locality_analysis_opts(
     program: &Program,
     hierarchy: &MemoryHierarchy,
     index_arrays: Vec<(ArrayId, Vec<i64>)>,
     opts: &AnalyzeOptions,
-) -> Result<LocalityAnalysis, ExecError> {
-    // Capture once, then replay per granularity: this is the pipeline the
-    // CLI reports on, so each stage runs under its own span (capture and
-    // replay spans are recorded inside `capture_program`/`analyze_buffer`).
-    // `capture_program` seals the buffer, so it needs no validating decode.
-    let (buffer, exec) = capture_program(program, index_arrays)?;
+) -> Result<LocalityAnalysis, ReuseLensError> {
     let grains = hierarchy.required_granularities();
-    let (profiles, _timings) = analyze_buffer_with(program, &buffer, &grains, opts)
-        .into_strict()
-        .unwrap_or_else(|e| panic!("{e}"));
-    let analysis = AnalysisResult { profiles, exec };
+    let analysis = analyze_program_with(program, &grains, index_arrays, opts)?;
     Ok(attribute_analysis(program, hierarchy, analysis))
 }
 
@@ -150,10 +147,8 @@ pub fn run_locality_analysis_opts(
 ///
 /// # Errors
 ///
-/// Propagates executor errors, checkpoint-infrastructure failures
-/// ([`ReuseLensError::Snapshot`]), and any grain failure — unlike the
-/// panic-on-grain-failure shortcut in [`run_locality_analysis_opts`],
-/// everything here surfaces as a typed [`ReuseLensError`].
+/// Like [`run_locality_analysis_opts`], plus checkpoint-infrastructure
+/// failures ([`ReuseLensError::Snapshot`]).
 pub fn run_locality_analysis_checkpointed(
     program: &Program,
     hierarchy: &MemoryHierarchy,

@@ -96,16 +96,19 @@ use std::sync::{Arc, RwLock, RwLockReadGuard};
 use std::time::Instant;
 
 /// A pipeline stage a [`span`] can time. One execution of the full
-/// pipeline opens: one `Capture` span, one `Decode` span per validating
-/// pass over a buffer, one `Replay` span per grain, one `Sweep` span per
-/// hierarchy scored, and one `Report` span per attribution report.
+/// pipeline opens: one `Capture` span when it captures a buffer (a run
+/// that executes each grain directly captures nothing), one `Decode` span
+/// per validating pass over a buffer, one `Replay` span per grain, one
+/// `Sweep` span per hierarchy scored, and one `Report` span per
+/// attribution report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Interpreting the program once into a captured trace buffer.
     Capture,
     /// A validating decode pass over a captured buffer.
     Decode,
-    /// One grain's replay through its analyzer.
+    /// One grain's measurement: its analyzer fed by decoding a buffer or
+    /// by executing the program directly.
     Replay,
     /// One time-partition of a single grain's parallel replay (nested
     /// inside that grain's [`Stage::Replay`] span).

@@ -104,11 +104,13 @@ COMMON OPTIONS:
                     (0, 1] (e.g. 0.01), or 'auto:<budget>' to adapt the
                     rate so at most <budget> blocks are tracked. Reported
                     counts become scaled estimates; omit for exact output
-    --replay-threads <N|auto>  split each grain's replay across N
-                    time-partition workers ('auto' = one per core) and
-                    stitch the results — bit-identical to serial replay,
-                    faster on large traces. Ignored for adaptive
-                    sampling, which is inherently sequential
+    --replay-threads <N|auto>  capture the trace once and split each
+                    grain's replay across N time-partition workers
+                    ('auto' = one per core), stitching the results —
+                    bit-identical to a plain run. Adaptive sampling,
+                    which is inherently sequential, replays serially.
+                    Without it (or with 1) each grain executes the
+                    program directly, with no trace in between
     --checkpoint-dir <DIR>  crash-safe analysis: snapshot each grain's
                     analyzer state into DIR so an interrupted run can be
                     resumed. Results are bit-identical to a plain run

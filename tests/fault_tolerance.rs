@@ -8,7 +8,7 @@ use reuselens::cache::{
 };
 use reuselens::core::{
     analyze_program_degraded, analyze_program_parallel, capture_program, AnalysisBudget,
-    AnalyzeOptions, CheckpointOptions, GrainError, SnapshotError,
+    AnalyzeOptions, BudgetLimit, CheckpointOptions, GrainError, SnapshotError,
 };
 use reuselens::metrics::{run_locality_analysis_checkpointed, run_locality_analysis_opts};
 use reuselens::trace::fault::Corruptor;
@@ -196,6 +196,27 @@ fn checkpointed_pipeline_survives_snapshot_corruption() {
             .unwrap();
     assert_eq!(plain.analysis.profiles, resumed.analysis.profiles);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A budget-limited end-to-end analysis that crosses its budget returns
+/// a typed `ReuseLensError::Budget` instead of panicking.
+#[test]
+fn over_budget_locality_analysis_is_a_budget_error() {
+    let w = random_gather(1 << 10, 1 << 12, 2, 7);
+    let h = MemoryHierarchy::itanium2_scaled(16);
+    let opts = AnalyzeOptions {
+        budget: AnalysisBudget::unlimited().with_max_events(1000),
+        ..AnalyzeOptions::default()
+    };
+    let err = run_locality_analysis_opts(&w.program, &h, w.index_arrays.clone(), &opts)
+        .expect_err("a 1000-event budget cannot cover the run");
+    match err {
+        ReuseLensError::Budget(e) => {
+            assert_eq!(e.limit, BudgetLimit::Events);
+            assert_eq!(e.allowed, 1000);
+        }
+        other => panic!("expected Budget, got {other}"),
+    }
 }
 
 /// Checkpoint *infrastructure* failure — a checkpoint directory path

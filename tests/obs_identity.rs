@@ -713,8 +713,13 @@ fn locality_analysis_counts_reports() {
     let snap = recorder.snapshot();
     assert_eq!(snap.counter(Counter::ReportsGenerated), 1);
     assert_eq!(snap.stage(Stage::Report).count, 1);
-    assert_eq!(snap.stage(Stage::Capture).count, 1);
-    // The in-process capture is sealed by the encoder, not re-decoded.
+    // Each grain runs its own executor straight into its analyzer: nothing
+    // is captured or decoded, and every grain opens one replay span.
+    let ngrains = h.required_granularities().len() as u64;
+    assert_eq!(snap.stage(Stage::Capture).count, 0);
+    assert_eq!(snap.counter(Counter::EventsCaptured), 0);
     assert_eq!(snap.stage(Stage::Decode).count, 0);
+    assert_eq!(snap.stage(Stage::Replay).count, ngrains);
+    assert_eq!(snap.counter(Counter::GrainsCompleted), ngrains);
     assert_eq!(snap.counter(Counter::SweepConfigsScored), 1);
 }
