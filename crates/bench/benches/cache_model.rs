@@ -6,14 +6,15 @@ use std::time::Duration;
 use reuselens_bench::harness::{Criterion, Throughput};
 use reuselens_bench::{criterion_group, criterion_main};
 use reuselens::cache::{predict_level, CacheSim, MemoryHierarchy};
-use reuselens::core::analyze_program;
+use reuselens::core::{analyze_program_with, AnalyzeOptions};
 use reuselens::trace::Executor;
 use reuselens::workloads::kernels::streaming;
 
 fn bench_predict_vs_simulate(c: &mut Criterion) {
     let w = streaming(1 << 15, 4);
     let h = MemoryHierarchy::itanium2();
-    let analysis = analyze_program(&w.program, &[128], vec![]).unwrap();
+    let analysis =
+        analyze_program_with(&w.program, &[128], vec![], &AnalyzeOptions::default()).unwrap();
     let profile = analysis.profile_at(128).unwrap();
 
     let mut g = c.benchmark_group("cache_model");

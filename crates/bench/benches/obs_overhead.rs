@@ -11,8 +11,7 @@
 //!
 //! Run with `cargo bench -p reuselens-bench --bench obs_overhead`.
 
-use reuselens::core::analyze_buffer;
-use reuselens::core::capture_program;
+use reuselens::core::{analyze_buffer_with, capture_program, AnalyzeOptions};
 use reuselens::obs::{self, MetricsRecorder};
 use reuselens::workloads::kernels::random_gather;
 use reuselens_bench::harness::Criterion;
@@ -21,6 +20,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const GRAINS: [u64; 2] = [128, 16 * 1024];
+
+/// One strict multi-grain replay with default options.
+fn replay(program: &reuselens::ir::Program, buffer: &reuselens::trace::TraceBuffer) {
+    let opts = AnalyzeOptions::default();
+    let result = analyze_buffer_with(program, buffer, &GRAINS, &opts).into_strict();
+    std::hint::black_box(result.unwrap());
+}
 
 /// Best-of-`reps` wall time of a full multi-grain replay.
 fn best_replay_wall(
@@ -31,7 +37,7 @@ fn best_replay_wall(
     (0..reps)
         .map(|_| {
             let t = Instant::now();
-            std::hint::black_box(analyze_buffer(program, buffer, &GRAINS).unwrap());
+            replay(program, buffer);
             t.elapsed()
         })
         .min()
@@ -47,12 +53,12 @@ fn bench_obs_overhead(c: &mut Criterion) {
     g.measurement_time(Duration::from_secs(3));
     g.sample_size(10);
     g.bench_function("replay_2grain_disabled", |b| {
-        b.iter(|| analyze_buffer(&w.program, &buffer, &GRAINS).unwrap())
+        b.iter(|| replay(&w.program, &buffer))
     });
     let recorder = Arc::new(MetricsRecorder::new());
     obs::install(recorder.clone());
     g.bench_function("replay_2grain_enabled", |b| {
-        b.iter(|| analyze_buffer(&w.program, &buffer, &GRAINS).unwrap())
+        b.iter(|| replay(&w.program, &buffer))
     });
     obs::uninstall();
     g.finish();

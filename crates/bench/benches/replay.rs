@@ -1,4 +1,5 @@
-//! Online vs capture-once / replay-many on the kernels workload.
+//! Per-configuration analysis vs capture-once / replay-many on the kernels
+//! workload.
 //!
 //! The scenario is the paper's design-space sweep: measure reuse at two
 //! granularities (cache line + page) and score four candidate cache
@@ -7,8 +8,8 @@
 //! * `per_config_online` — the pre-buffer flow: [`evaluate_program`] per
 //!   hierarchy, so the program is re-interpreted and re-analyzed for every
 //!   configuration.
-//! * `shared_online` — one online analysis, then the four configurations
-//!   scored sequentially from the shared profiles.
+//! * `shared_online` — one [`analyze_program_with`] run, then the four
+//!   configurations scored sequentially from the shared profiles.
 //! * `capture_parallel` — the capture-once engine: one interpretation into
 //!   a compact [`TraceBuffer`](reuselens::trace::TraceBuffer), one replay
 //!   thread per grain, one scoring thread per configuration.
@@ -19,7 +20,9 @@
 //! host the parallel replay adds to the capture-once amortization.
 
 use reuselens::cache::{evaluate_program, evaluate_sweep, MemoryHierarchy};
-use reuselens::core::{analyze_buffer, analyze_program, capture_program, AnalysisResult};
+use reuselens::core::{
+    analyze_buffer_with, analyze_program_with, capture_program, AnalysisResult, AnalyzeOptions,
+};
 use reuselens::workloads::kernels::random_gather;
 use reuselens::workloads::BuiltWorkload;
 use reuselens_bench::harness::{Criterion, Throughput};
@@ -49,9 +52,11 @@ fn per_config_online(w: &BuiltWorkload, hs: &[MemoryHierarchy]) -> f64 {
         .sum()
 }
 
-/// One online analysis, configurations scored sequentially from it.
+/// One analysis, configurations scored sequentially from it.
 fn shared_online(w: &BuiltWorkload, hs: &[MemoryHierarchy]) -> f64 {
-    let analysis = analyze_program(&w.program, &GRAINS, w.index_arrays.clone()).unwrap();
+    let opts = AnalyzeOptions::default();
+    let analysis =
+        analyze_program_with(&w.program, &GRAINS, w.index_arrays.clone(), &opts).unwrap();
     hs.iter()
         .map(|h| reuselens::cache::report_from_analysis(&analysis, h).timing.total())
         .sum()
@@ -61,7 +66,10 @@ fn shared_online(w: &BuiltWorkload, hs: &[MemoryHierarchy]) -> f64 {
 /// replay thread per grain, one scoring thread per configuration.
 fn capture_parallel(w: &BuiltWorkload, hs: &[MemoryHierarchy]) -> f64 {
     let (buffer, report) = capture_program(&w.program, w.index_arrays.clone()).unwrap();
-    let (profiles, _timings) = analyze_buffer(&w.program, &buffer, &GRAINS).unwrap();
+    let (profiles, _timings) =
+        analyze_buffer_with(&w.program, &buffer, &GRAINS, &AnalyzeOptions::default())
+            .into_strict()
+            .unwrap();
     let analysis = AnalysisResult {
         profiles,
         exec: report,

@@ -39,7 +39,7 @@
 //! number either way.
 
 use reuselens::core::{
-    analyze_buffer, analyze_buffer_checkpointed, analyze_buffer_with, capture_program,
+    analyze_buffer_checkpointed, analyze_buffer_with, capture_program,
     AnalyzeOptions, CheckpointOptions, ReferenceAnalyzer, ReplayThreads, SamplingConfig,
 };
 use reuselens::obs::{self, MetricsRecorder, ServiceConfig, TelemetryService};
@@ -123,14 +123,7 @@ fn best_replay_wall(
     grains: &[u64],
     reps: usize,
 ) -> Duration {
-    (0..reps.max(1))
-        .map(|_| {
-            let t = Instant::now();
-            std::hint::black_box(analyze_buffer(program, buffer, grains).expect("replay"));
-            t.elapsed()
-        })
-        .min()
-        .unwrap_or(Duration::ZERO)
+    best_replay_wall_with(program, buffer, grains, reps, &AnalyzeOptions::default())
 }
 
 /// Best-of-`reps` wall time of one replay under explicit options (the

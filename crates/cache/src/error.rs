@@ -5,7 +5,8 @@
 //! resource caps, [`AnalysisError`] for the replay engine — and this
 //! module adds the cache layer's [`ConfigError`] plus the umbrella
 //! [`ReuseLensError`] that every end-to-end pipeline
-//! ([`evaluate_sweep`](crate::evaluate_sweep),
+//! ([`evaluate_program`](crate::evaluate_program),
+//! [`evaluate_sweep`](crate::evaluate_sweep),
 //! [`evaluate_program_sweep`](crate::evaluate_program_sweep)) returns.
 //! `From` impls convert each lower error losslessly, so `?` composes the
 //! whole stack.

@@ -3,17 +3,15 @@
 //!
 //! Because predictions are pure functions of immutable reuse profiles, a
 //! whole design-space sweep ([`evaluate_sweep`]) can score every candidate
-//! hierarchy concurrently from one measured analysis — the payoff of the
-//! capture-once / replay-many pipeline.
+//! hierarchy concurrently from one measured analysis.
 
 use crate::config::MemoryHierarchy;
 use crate::error::ReuseLensError;
 use crate::model::{predict_level, LevelPrediction};
 use crate::timing::{predict_cycles, TimingBreakdown};
-use reuselens_core::{analyze_program, analyze_program_parallel, AnalysisResult};
+use reuselens_core::{analyze_program_with, AnalysisResult, AnalyzeOptions};
 use reuselens_ir::{ArrayId, Program};
 use reuselens_obs as obs;
-use reuselens_trace::ExecError;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -46,14 +44,15 @@ impl HierarchyReport {
     }
 }
 
-/// Runs `program` once, measures reuse at every granularity the hierarchy
-/// needs, and returns per-level predictions plus the underlying analysis
-/// (for deeper attribution).
+/// Measures reuse at every granularity the hierarchy needs
+/// ([`analyze_program_with`] with default options), and returns per-level
+/// predictions plus the underlying analysis (for deeper attribution).
 ///
 /// # Errors
 ///
-/// Propagates executor errors (out-of-bounds access, missing index-array
-/// contents).
+/// Returns executor errors (out-of-bounds access, missing index-array
+/// contents) as [`ReuseLensError::Exec`], and any grain failure as its
+/// typed [`ReuseLensError`].
 ///
 /// # Examples
 ///
@@ -74,15 +73,16 @@ impl HierarchyReport {
 /// let (report, _) = evaluate_program(&prog, &MemoryHierarchy::itanium2(), vec![])?;
 /// // The second sweep misses L2 (footprint 2x capacity) but fits in L3.
 /// assert!(report.misses_at("L2").unwrap() > report.misses_at("L3").unwrap());
-/// # Ok::<(), reuselens_trace::ExecError>(())
+/// # Ok::<(), reuselens_cache::ReuseLensError>(())
 /// ```
 pub fn evaluate_program(
     program: &Program,
     hierarchy: &MemoryHierarchy,
     index_arrays: Vec<(ArrayId, Vec<i64>)>,
-) -> Result<(HierarchyReport, AnalysisResult), ExecError> {
+) -> Result<(HierarchyReport, AnalysisResult), ReuseLensError> {
     let granularities = hierarchy.required_granularities();
-    let analysis = analyze_program(program, &granularities, index_arrays)?;
+    let opts = AnalyzeOptions::default();
+    let analysis = analyze_program_with(program, &granularities, index_arrays, &opts)?;
     Ok((report_from_analysis(&analysis, hierarchy), analysis))
 }
 
@@ -336,15 +336,15 @@ pub fn evaluate_sweep_degraded(
     out
 }
 
-/// The full capture-once pipeline: interprets `program` a single time,
-/// replays the captured trace concurrently at the union of granularities
-/// the candidate hierarchies need, then scores every hierarchy on its own
-/// thread. Reports come back in hierarchy order.
+/// The full design-space pipeline: measures reuse once
+/// ([`analyze_program_with`] with default options) at the union of
+/// granularities the candidate hierarchies need, then scores every
+/// hierarchy on its own thread. Reports come back in hierarchy order.
 ///
 /// # Errors
 ///
-/// Returns any failure along the pipeline — capture, replay, or sweep —
-/// as a [`ReuseLensError`].
+/// Returns any failure along the pipeline — execution, a grain, or the
+/// sweep — as a [`ReuseLensError`].
 pub fn evaluate_program_sweep(
     program: &Program,
     hierarchies: &[MemoryHierarchy],
@@ -356,7 +356,8 @@ pub fn evaluate_program_sweep(
         .collect();
     grains.sort_unstable();
     grains.dedup();
-    let (analysis, _stats) = analyze_program_parallel(program, &grains, index_arrays)?;
+    let analysis =
+        analyze_program_with(program, &grains, index_arrays, &AnalyzeOptions::default())?;
     let (reports, _timings) = evaluate_sweep(&analysis, hierarchies)?;
     Ok((reports, analysis))
 }

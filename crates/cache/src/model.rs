@@ -86,7 +86,7 @@ fn binomial_tail(n: u64, p: f64, k: u64) -> f64 {
 ///
 /// ```
 /// use reuselens_cache::miss_curve;
-/// use reuselens_core::analyze_program;
+/// use reuselens_core::{analyze_program_with, AnalyzeOptions};
 /// use reuselens_ir::ProgramBuilder;
 ///
 /// let mut p = ProgramBuilder::new("demo");
@@ -99,12 +99,12 @@ fn binomial_tail(n: u64, p: f64, k: u64) -> f64 {
 ///     });
 /// });
 /// let prog = p.finish();
-/// let analysis = analyze_program(&prog, &[64], vec![])?;
+/// let analysis = analyze_program_with(&prog, &[64], vec![], &AnalyzeOptions::default())?;
 /// let curve = miss_curve(analysis.profile_at(64).unwrap(), &[16, 128, 1024]);
 /// // Small cache: every resweep misses; big cache: only cold misses.
 /// assert!(curve[0].1 > curve[2].1);
 /// assert_eq!(curve[2].1, 128.0); // 1024*8/64 cold lines
-/// # Ok::<(), reuselens_trace::ExecError>(())
+/// # Ok::<(), reuselens_core::AnalysisError>(())
 /// ```
 pub fn miss_curve(profile: &ReuseProfile, capacities_blocks: &[u64]) -> Vec<(u64, f64)> {
     capacities_blocks

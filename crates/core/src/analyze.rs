@@ -1,31 +1,34 @@
-//! One-call program analysis: execute a program, measure reuse at several
+//! Program analysis: execute a program, measure reuse at several
 //! granularities.
 //!
-//! Three pipelines produce bit-identical profiles:
+//! Four public functions cover every pipeline, and every path through
+//! them produces bit-identical profiles:
 //!
-//! * **Online** ([`analyze_program`]) — one executor feeds a
-//!   [`MultiGrainAnalyzer`], so every grain observes the event stream while
-//!   the program is interpreted, as the paper's instrumented binaries do.
-//! * **Direct per grain** ([`analyze_program_with`] with options that need
-//!   no buffer) — each grain's thread runs its own [`Executor`] straight
-//!   into that grain's analyzer. Nothing is encoded or decoded, and the
-//!   grains run in parallel.
-//! * **Capture + replay** ([`analyze_program_parallel`], or
-//!   [`capture_program`] + [`analyze_buffer_with`]) — the program is
-//!   interpreted exactly once into a compact [`TraceBuffer`]; each grain
-//!   then decodes the buffer on its own thread.
+//! * [`analyze_program_with`] — the entry point for callers that hold a
+//!   program. It picks the cheapest event source the [`AnalyzeOptions`]
+//!   allow (see below) and returns the strict [`AnalysisResult`].
+//! * [`capture_program`] — interprets the program exactly once into a
+//!   compact [`TraceBuffer`], the unit the daemon, the trace store and
+//!   checkpointed replay work on. [`TraceBuffer::stats`] reports its size.
+//! * [`analyze_buffer_with`] — the entry point for callers that hold a
+//!   buffer. Each grain decodes it on its own thread; the result is a
+//!   [`PartialAnalysis`], and [`PartialAnalysis::into_strict`] turns the
+//!   first grain failure into an [`AnalysisError`].
+//! * [`analyze_buffer_checkpointed`] — [`analyze_buffer_with`] with
+//!   crash-safe snapshots and resume.
 //!
 //! Interpreting the lowered program costs about as much per event as
 //! encoding it: on Sweep3D (mesh 32, 8.9 M events, 2-core Xeon) executing
 //! into a no-op sink takes ≈9–17 ns per event, encoding into the buffer
 //! another ≈16–24 ns, and each grain's decode ≈7–11 ns. Re-executing per
 //! grain is therefore cheaper than capturing once and decoding per grain,
-//! and [`analyze_program_with`] does so unless the options need a buffer:
+//! and [`analyze_program_with`] runs one [`Executor`] per grain straight
+//! into that grain's analyzer unless the options need a buffer:
 //! partitioned replay ([`AnalyzeOptions::replay_threads`] resolving to
 //! more than one thread) cuts the buffer in time, and a limited
 //! [`AnalyzeOptions::budget`] or [`AnalyzeOptions::validate`] runs the
-//! checking decoder. The buffer also stays the unit of storage: the daemon,
-//! the trace store and checkpointed replay work on captured buffers.
+//! checking decoder. Then it captures once and calls
+//! [`analyze_buffer_with`].
 //!
 //! Every grain can run through the constant-space [`SampledAnalyzer`]
 //! instead of the exact analyzer: set [`AnalyzeOptions::sampling`]. Exact
@@ -37,7 +40,7 @@
 //! The grain engine is built to run unattended over full application
 //! executions, so a failing grain must not take the run down with it:
 //!
-//! * every grain thread runs under `catch_unwind` — a panic in one grain's
+//! * every grain runs under `catch_unwind` — a panic in one grain's
 //!   analyzer never aborts the process or discards sibling grains;
 //! * [`analyze_buffer_with`] degrades gracefully: failed grains come back
 //!   as per-grain [`FailureReport`]s inside a [`PartialAnalysis`], after a
@@ -49,15 +52,15 @@
 //!   corrupted captures surface as [`DecodeError`]s and runaway traces
 //!   stop with [`BudgetExceeded`] — both carrying diagnostics, neither
 //!   panicking;
-//! * the strict entry points ([`analyze_buffer`],
-//!   [`analyze_program_parallel`], [`analyze_program_with`]) return
-//!   `Result` and map the first grain failure into an [`AnalysisError`].
+//! * [`analyze_program_with`] returns `Result` and maps the first grain
+//!   failure into an [`AnalysisError`].
 //!
-//! The buffer and direct sources share one engine: panic isolation, the
-//! retry pass, failure reports and telemetry exist once, and the sources
-//! differ only in the call that feeds the grain's analyzer.
+//! The buffer, direct and checkpointed sources share one panic-isolated
+//! grain wrapper: the span, the progress counter, `catch_unwind`, the
+//! failure mapping and the profile counters exist once, and the
+//! sources differ only in the code that feeds the grain's analyzer.
 
-use crate::analyzer::{MultiGrainAnalyzer, ReuseAnalyzer};
+use crate::analyzer::ReuseAnalyzer;
 use crate::budget::{AnalysisBudget, BudgetExceeded, BudgetProgress};
 use crate::partition::{replay_partitioned, ReplayThreads};
 use crate::patterns::ReuseProfile;
@@ -69,11 +72,12 @@ use crate::snapshot::{
 use reuselens_ir::{AccessKind, ArrayId, Program, RefId, ScopeId};
 use reuselens_obs as obs;
 use reuselens_trace::{
-    AccessRecord, BufferStats, DecodeError, Event, ExecError, ExecReport, Executor, SegmentState,
+    AccessRecord, DecodeError, Event, ExecError, ExecReport, Executor, SegmentState,
     SoaBatch, TraceBuffer, TraceSink,
 };
 use std::error::Error;
 use std::fmt;
+use std::convert::Infallible;
 use std::fs;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -176,9 +180,9 @@ impl From<BudgetExceeded> for AnalysisError {
     }
 }
 
-/// The result of [`analyze_program`]: reuse profiles (one per granularity,
-/// in request order) plus the executor's dynamic statistics (loop trip
-/// counts, access totals).
+/// The result of [`analyze_program_with`]: reuse profiles (one per
+/// granularity, in request order) plus the executor's dynamic statistics
+/// (loop trip counts, access totals).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalysisResult {
     /// One profile per requested block size.
@@ -192,66 +196,6 @@ impl AnalysisResult {
     pub fn profile_at(&self, block_size: u64) -> Option<&ReuseProfile> {
         self.profiles.iter().find(|p| p.block_size == block_size)
     }
-}
-
-/// Executes `program` once and measures reuse distances at every requested
-/// block size. Index arrays (for indirect accesses) are supplied as
-/// `(array, contents)` pairs.
-///
-/// # Errors
-///
-/// Propagates any [`ExecError`] from the executor (out-of-bounds access,
-/// missing index data).
-///
-/// # Examples
-///
-/// ```
-/// use reuselens_core::analyze_program;
-/// use reuselens_ir::ProgramBuilder;
-///
-/// let mut p = ProgramBuilder::new("demo");
-/// let a = p.array("a", 8, &[256]);
-/// p.routine("main", |r| {
-///     r.for_("t", 0, 2, |r, _| {
-///         r.for_("i", 0, 255, |r, i| {
-///             r.load(a, vec![i.into()]);
-///         });
-///     });
-/// });
-/// let prog = p.finish();
-/// let result = analyze_program(&prog, &[64, 4096], vec![])?;
-/// assert_eq!(result.profiles.len(), 2);
-/// assert_eq!(result.exec.accesses, 3 * 256);
-/// # Ok::<(), reuselens_trace::ExecError>(())
-/// ```
-pub fn analyze_program(
-    program: &Program,
-    block_sizes: &[u64],
-    index_arrays: Vec<(ArrayId, Vec<i64>)>,
-) -> Result<AnalysisResult, ExecError> {
-    let mut analyzer = MultiGrainAnalyzer::new(program, block_sizes);
-    let mut exec = Executor::new(program);
-    for (arr, data) in index_arrays {
-        exec.set_index_array(arr, data);
-    }
-    let report = exec.run(&mut analyzer)?;
-    Ok(AnalysisResult {
-        profiles: analyzer.finish(),
-        exec: report,
-    })
-}
-
-/// Wall-clock and buffer statistics from a capture + parallel-replay run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnalysisStats {
-    /// Time to interpret the program once into the trace buffer.
-    pub capture_wall: Duration,
-    /// Size and compression statistics of the captured buffer.
-    pub buffer: BufferStats,
-    /// Per-grain replay wall time, in request order. Each entry is the time
-    /// the grain's own thread spent decoding the buffer and updating its
-    /// analyzer; the slowest entry bounds the parallel phase.
-    pub replays: Vec<ReplayTiming>,
 }
 
 /// Wall time one grain's replay thread took.
@@ -305,8 +249,9 @@ pub fn capture_program(
     Ok((buffer, report))
 }
 
-/// Knobs for the fault-tolerant replay pipeline
-/// ([`analyze_buffer_with`] / [`analyze_program_degraded`]).
+/// Knobs for every analysis entry point: [`analyze_program_with`],
+/// [`analyze_buffer_with`] and [`analyze_buffer_checkpointed`]. The
+/// defaults measure exactly, serially per grain, on trusted input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalyzeOptions {
     /// Resource caps per grain; unlimited by default.
@@ -533,7 +478,12 @@ struct GrainFailure {
 struct GrainDone {
     profile: ReuseProfile,
     timing: ReplayTiming,
-    /// Final order-statistic tree size (see [`replay_grain`]).
+    /// Live entries of the grain's distance structure when it finished:
+    /// [`TimeBits`](crate::TimeBits) times plus recent-window entries for
+    /// the exact analyzer, order-statistic tree nodes for the sampled one.
+    /// The exact structure only grows during a replay, so this is also its
+    /// peak; a sampled tree shrinks on eviction, so this is its final
+    /// *tracked* count.
     tree_nodes: u64,
     /// Events the grain's analyzer observed.
     events: u64,
@@ -787,14 +737,21 @@ fn record_profile(block_size: u64, profile: &ReuseProfile) {
     }
 }
 
-/// One grain's measurement, panic-isolated. Runs on the grain's own thread
-/// in the parallel phase and on the caller's thread in the retry pass.
-fn replay_grain(
-    program: &Program,
-    source: Source<'_>,
+/// What feeding one grain produces: the finished profile, the final
+/// distance-structure size (see [`GrainDone::tree_nodes`]), and the
+/// executor's report when the grain ran its own executor.
+type Fed = (ReuseProfile, u64, Option<ExecReport>);
+
+/// The panic-isolated wrapper every grain runs in, whatever its source.
+/// Opens the grain's replay span, announces the grain, runs `feed` under
+/// `catch_unwind` with a progress counter that outlives a panic, and maps
+/// the outcome to a [`GrainDone`] (its profile counted on the recorder)
+/// or a [`GrainFailure`]. `feed` returns `Err` only for an error that
+/// fails the whole call rather than one grain.
+fn isolate_grain<E>(
     block_size: u64,
-    opts: &AnalyzeOptions,
-) -> Result<GrainDone, GrainFailure> {
+    feed: impl FnOnce(&AtomicU64) -> Result<Result<Fed, GrainError>, E>,
+) -> Result<Result<GrainDone, GrainFailure>, E> {
     let mut span = obs::span_with(obs::Stage::Replay, || obs::TimelineArgs {
         grain: Some(block_size),
         ..obs::TimelineArgs::default()
@@ -804,58 +761,10 @@ fn replay_grain(
     // Progress lives outside the unwind boundary so a panicking analyzer
     // still leaves behind how many events it had processed.
     let progress = AtomicU64::new(0);
-    let outcome = panic::catch_unwind(AssertUnwindSafe(
-        || -> Result<(ReuseProfile, u64, Option<ExecReport>), GrainError> {
-            if let Source::Buffer(buffer) = source {
-                let parts = opts.replay_threads.resolve();
-                if parts > 1 && !matches!(opts.sampling, SamplingConfig::Adaptive { .. }) {
-                    // Validate-first: the partitioned engine replays
-                    // segments on the unchecked fast path, so an explicit
-                    // validation request runs the checking decoder over the
-                    // whole buffer up front and surfaces the same `Decode`
-                    // errors.
-                    if opts.validate {
-                        buffer.validate().map_err(GrainError::Decode)?;
-                    }
-                    let (profile, tree_nodes) = replay_partitioned(
-                        program,
-                        buffer,
-                        block_size,
-                        parts,
-                        opts.sampling,
-                        &opts.budget,
-                    )?;
-                    progress.store(buffer.events(), Ordering::Relaxed);
-                    return Ok((profile, tree_nodes, None));
-                }
-            }
-            let mut analyzer = GrainAnalyzer::new(program, block_size, opts.sampling);
-            let exec = match source {
-                Source::Buffer(buffer) if opts.validate || !opts.budget.is_unlimited() => {
-                    replay_guarded(buffer, &mut analyzer, &opts.budget, &progress)?;
-                    None
-                }
-                Source::Buffer(buffer) => {
-                    buffer.replay(&mut CountingSink::new(&mut analyzer, &progress));
-                    None
-                }
-                // One dispatch on the engine per grain, not per event.
-                Source::Execute(index_arrays) => Some(match &mut analyzer {
-                    GrainAnalyzer::Exact(a) => execute_into(program, index_arrays, a, &progress),
-                    GrainAnalyzer::Sampled(a) => execute_into(program, index_arrays, a, &progress),
-                }?),
-            };
-            // The exact tree only grows during a replay, so its final size
-            // is also its peak; a sampled tree shrinks on eviction, making
-            // this the final *tracked* count. Measured before `finish`
-            // consumes the analyzer.
-            let tree_nodes = analyzer.tree_nodes() as u64;
-            Ok((analyzer.finish(), tree_nodes, exec))
-        },
-    ));
+    let outcome = panic::catch_unwind(AssertUnwindSafe(|| feed(&progress)));
     let events = progress.load(Ordering::Relaxed);
-    match outcome {
-        Ok(Ok((profile, tree_nodes, exec))) => {
+    Ok(match outcome {
+        Ok(Ok(Ok((profile, tree_nodes, exec)))) => {
             record_profile(block_size, &profile);
             span.record(|args| {
                 args.events = Some(events);
@@ -874,12 +783,83 @@ fn replay_grain(
                 exec,
             })
         }
-        Ok(Err(error)) => Err(GrainFailure { error, events }),
+        Ok(Ok(Err(error))) => Err(GrainFailure { error, events }),
+        Ok(Err(fatal)) => return Err(fatal),
         Err(payload) => Err(GrainFailure {
             error: GrainError::Panicked(panic_message(payload.as_ref())),
             events,
         }),
+    })
+}
+
+/// One grain's measurement from `source`, panic-isolated. Runs on the
+/// grain's own thread in the parallel phase and on the caller's thread in
+/// the retry pass.
+fn replay_grain(
+    program: &Program,
+    source: Source<'_>,
+    block_size: u64,
+    opts: &AnalyzeOptions,
+) -> Result<GrainDone, GrainFailure> {
+    let outcome = isolate_grain(block_size, |progress| {
+        Ok::<_, Infallible>(feed_grain(program, source, block_size, opts, progress))
+    });
+    match outcome {
+        Ok(outcome) => outcome,
+        Err(never) => match never {},
     }
+}
+
+/// Feeds one grain's analyzer from `source`, publishing progress into
+/// `progress`.
+fn feed_grain(
+    program: &Program,
+    source: Source<'_>,
+    block_size: u64,
+    opts: &AnalyzeOptions,
+    progress: &AtomicU64,
+) -> Result<Fed, GrainError> {
+    if let Source::Buffer(buffer) = source {
+        let parts = opts.replay_threads.resolve();
+        if parts > 1 && !matches!(opts.sampling, SamplingConfig::Adaptive { .. }) {
+            // Validate-first: the partitioned engine replays segments on
+            // the unchecked fast path, so an explicit validation request
+            // runs the checking decoder over the whole buffer up front and
+            // surfaces the same `Decode` errors.
+            if opts.validate {
+                buffer.validate().map_err(GrainError::Decode)?;
+            }
+            let (profile, tree_nodes) = replay_partitioned(
+                program,
+                buffer,
+                block_size,
+                parts,
+                opts.sampling,
+                &opts.budget,
+            )?;
+            progress.store(buffer.events(), Ordering::Relaxed);
+            return Ok((profile, tree_nodes, None));
+        }
+    }
+    let mut analyzer = GrainAnalyzer::new(program, block_size, opts.sampling);
+    let exec = match source {
+        Source::Buffer(buffer) if opts.validate || !opts.budget.is_unlimited() => {
+            replay_guarded(buffer, &mut analyzer, &opts.budget, progress)?;
+            None
+        }
+        Source::Buffer(buffer) => {
+            buffer.replay(&mut CountingSink::new(&mut analyzer, progress));
+            None
+        }
+        // One dispatch on the engine per grain, not per event.
+        Source::Execute(index_arrays) => Some(match &mut analyzer {
+            GrainAnalyzer::Exact(a) => execute_into(program, index_arrays, a, progress),
+            GrainAnalyzer::Sampled(a) => execute_into(program, index_arrays, a, progress),
+        }?),
+    };
+    // Measured before `finish` consumes the analyzer.
+    let tree_nodes = analyzer.tree_nodes() as u64;
+    Ok((analyzer.finish(), tree_nodes, exec))
 }
 
 /// Folds one grain's final outcome into `partial` with its completion or
@@ -1009,12 +989,15 @@ fn analyze_grains(
     (partial, exec)
 }
 
-/// The fault-tolerant replay engine: one fresh [`ReuseAnalyzer`] per block
-/// size, each replaying the shared buffer on its own thread **under panic
+/// The fault-tolerant replay engine, and the entry point for every caller
+/// that holds a buffer: one fresh [`ReuseAnalyzer`] per block size, each
+/// replaying the shared buffer on its own thread **under panic
 /// isolation**. Grains that fail — by panic, decode rejection, or budget
 /// exhaustion — are reported in the returned [`PartialAnalysis`] without
 /// disturbing their siblings; panicked grains get one sequential retry
-/// first (when [`AnalyzeOptions::retry`] is set).
+/// first (when [`AnalyzeOptions::retry`] is set). Call
+/// [`PartialAnalysis::into_strict`] to fail on the first dead grain
+/// instead.
 ///
 /// With default options the replay takes the same unchecked fast path as
 /// [`TraceBuffer::replay`]; setting a budget or
@@ -1028,17 +1011,17 @@ pub fn analyze_buffer_with(
     analyze_grains(program, Source::Buffer(buffer), block_sizes, opts).0
 }
 
-/// Measures reuse at every block size with full [`AnalyzeOptions`]
-/// control, choosing the cheapest event source the options allow — the
-/// one entry point the end-to-end pipelines call.
+/// Measures reuse at every block size under `opts`, choosing the cheapest
+/// event source the options allow — the entry point for every caller that
+/// holds a program.
 ///
 /// With a serial [`AnalyzeOptions::replay_threads`], an unlimited budget
 /// and no [`AnalyzeOptions::validate`], each grain's thread runs its own
 /// [`Executor`] straight into its analyzer: no trace is encoded or
-/// decoded. Otherwise the program is captured once and replayed per grain
-/// ([`analyze_program_parallel_with`]), because partitioned replay, budget
-/// checks and validation work on a buffer. Both sources produce
-/// bit-identical profiles and the same [`ExecReport`].
+/// decoded. Otherwise the program is captured once ([`capture_program`])
+/// and replayed per grain ([`analyze_buffer_with`]), because partitioned
+/// replay, budget checks and validation work on a buffer. Both sources
+/// produce bit-identical profiles and the same [`ExecReport`].
 ///
 /// # Errors
 ///
@@ -1048,7 +1031,7 @@ pub fn analyze_buffer_with(
 /// # Examples
 ///
 /// ```
-/// use reuselens_core::{analyze_program_parallel, analyze_program_with, AnalyzeOptions};
+/// use reuselens_core::{analyze_buffer_with, analyze_program_with, capture_program, AnalyzeOptions};
 /// use reuselens_ir::ProgramBuilder;
 ///
 /// let mut p = ProgramBuilder::new("demo");
@@ -1061,9 +1044,18 @@ pub fn analyze_buffer_with(
 ///     });
 /// });
 /// let prog = p.finish();
-/// let direct = analyze_program_with(&prog, &[64, 4096], vec![], &AnalyzeOptions::default())?;
-/// let (replayed, _) = analyze_program_parallel(&prog, &[64, 4096], vec![])?;
-/// assert_eq!(direct, replayed);
+/// let opts = AnalyzeOptions::default();
+/// let direct = analyze_program_with(&prog, &[64, 4096], vec![], &opts)?;
+/// assert_eq!(direct.profiles.len(), 2);
+/// assert_eq!(direct.exec.accesses, 3 * 256);
+///
+/// // The same measurement from a captured buffer, replayed per grain.
+/// let (buffer, exec) = capture_program(&prog, vec![])?;
+/// let (replayed, timings) = analyze_buffer_with(&prog, &buffer, &[64, 4096], &opts).into_strict()?;
+/// assert_eq!(direct.profiles, replayed);
+/// assert_eq!(direct.exec, exec);
+/// assert_eq!(timings.len(), 2);
+/// assert!(buffer.stats().encoded_bytes < buffer.stats().raw_bytes);
 /// # Ok::<(), reuselens_core::AnalysisError>(())
 /// ```
 pub fn analyze_program_with(
@@ -1084,28 +1076,9 @@ pub fn analyze_program_with(
             return Ok(AnalysisResult { profiles, exec });
         }
     }
-    analyze_program_parallel_with(program, block_sizes, index_arrays, opts)
-        .map(|(result, _stats)| result)
-}
-
-/// Replays a captured buffer through one fresh [`ReuseAnalyzer`] per block
-/// size, each on its own thread, and returns the profiles in request order
-/// together with per-thread timings.
-///
-/// This is the strict form: any grain failure is returned as an error
-/// (after all threads have been joined — a failing grain never aborts the
-/// process or poisons its siblings). Use [`analyze_buffer_with`] to keep
-/// the healthy grains' results instead.
-///
-/// # Errors
-///
-/// Returns the first grain failure as an [`AnalysisError`].
-pub fn analyze_buffer(
-    program: &Program,
-    buffer: &TraceBuffer,
-    block_sizes: &[u64],
-) -> Result<(Vec<ReuseProfile>, Vec<ReplayTiming>), AnalysisError> {
-    analyze_buffer_with(program, buffer, block_sizes, &AnalyzeOptions::default()).into_strict()
+    let (buffer, exec) = capture_program(program, index_arrays)?;
+    let (profiles, _) = analyze_buffer_with(program, &buffer, block_sizes, opts).into_strict()?;
+    Ok(AnalysisResult { profiles, exec })
 }
 
 /// Where and how often [`analyze_buffer_checkpointed`] snapshots its
@@ -1128,11 +1101,6 @@ pub struct CheckpointOptions {
     /// beginning.
     pub resume: bool,
 }
-
-/// How one checkpointed grain ended: completed, failed as a grain (kept
-/// as a [`FailureReport`]), or hit a checkpoint-infrastructure error that
-/// fails the whole call.
-type CkptGrainOutcome = Result<Result<GrainDone, GrainFailure>, SnapshotError>;
 
 /// Scans the checkpoint directory for this grain's snapshots, newest
 /// first, and rebuilds the analyzer from the first one that passes every
@@ -1233,122 +1201,83 @@ fn resume_grain(
     Ok(None)
 }
 
-/// One grain's checkpointed replay: resume (optionally), then alternate
-/// chunks of [`TraceBuffer::replay_advance`] with snapshot writes at each
-/// interior `every`-event boundary. Panic-isolated like [`replay_grain`].
-fn replay_grain_checkpointed(
+/// Feeds one grain's analyzer from `buffer` with checkpoints: resume
+/// (optionally), then alternate chunks of [`TraceBuffer::replay_advance`]
+/// with snapshot writes at each interior `every`-event boundary. Returns
+/// `Err` only for a checkpoint-infrastructure failure.
+fn feed_checkpointed(
     program: &Program,
     buffer: &TraceBuffer,
     block_size: u64,
     opts: &AnalyzeOptions,
     ckpt: &CheckpointOptions,
-) -> CkptGrainOutcome {
-    let mut span = obs::span_with(obs::Stage::Replay, || obs::TimelineArgs {
-        grain: Some(block_size),
-        ..obs::TimelineArgs::default()
-    });
-    obs::emit(obs::EventKind::GrainStarted { grain: block_size });
-    let start = Instant::now();
-    let progress = AtomicU64::new(0);
+    progress: &AtomicU64,
+) -> Result<Result<Fed, GrainError>, SnapshotError> {
+    // The streaming loop decodes on the unchecked fast path, so an
+    // explicit validation request checks the whole buffer up front, as the
+    // partitioned engine does.
+    if opts.validate {
+        if let Err(e) = buffer.validate() {
+            return Ok(Err(GrainError::Decode(e)));
+        }
+    }
     let every = ckpt.every.max(1);
     let sampled = !opts.sampling.is_exact();
-    let outcome = panic::catch_unwind(AssertUnwindSafe(
-        || -> Result<Result<(ReuseProfile, u64), GrainError>, SnapshotError> {
-            // The streaming loop decodes on the unchecked fast path, so an
-            // explicit validation request checks the whole buffer up front,
-            // as the partitioned engine does.
-            if opts.validate {
-                if let Err(e) = buffer.validate() {
-                    return Ok(Err(GrainError::Decode(e)));
-                }
-            }
-            let resumed = if ckpt.resume {
-                resume_grain(program, buffer, block_size, sampled, &ckpt.dir)?
-            } else {
-                None
+    let resumed = if ckpt.resume {
+        resume_grain(program, buffer, block_size, sampled, &ckpt.dir)?
+    } else {
+        None
+    };
+    let (mut analyzer, mut state) = match resumed {
+        Some(from) => from,
+        None => (
+            GrainAnalyzer::new(program, block_size, opts.sampling),
+            SegmentState::default(),
+        ),
+    };
+    progress.store(state.event, Ordering::Relaxed);
+    let nrefs = program.references().len() as u32;
+    while state.event < buffer.events() {
+        let target = state.event.saturating_add(every).min(buffer.events());
+        buffer.replay_advance(&mut state, target, &mut analyzer);
+        progress.store(state.event, Ordering::Relaxed);
+        if !opts.budget.is_unlimited() {
+            let p = BudgetProgress {
+                events: state.event,
+                distinct_blocks: analyzer.tracked_blocks(),
+                tree_nodes: analyzer.tree_nodes() as u64,
             };
-            let (mut analyzer, mut state) = match resumed {
-                Some(from) => from,
-                None => (
-                    GrainAnalyzer::new(program, block_size, opts.sampling),
-                    SegmentState::default(),
-                ),
-            };
-            progress.store(state.event, Ordering::Relaxed);
-            let nrefs = program.references().len() as u32;
-            while state.event < buffer.events() {
-                let target = state.event.saturating_add(every).min(buffer.events());
-                buffer.replay_advance(&mut state, target, &mut analyzer);
-                progress.store(state.event, Ordering::Relaxed);
-                if !opts.budget.is_unlimited() {
-                    let p = BudgetProgress {
-                        events: state.event,
-                        distinct_blocks: analyzer.tracked_blocks(),
-                        tree_nodes: analyzer.tree_nodes() as u64,
-                    };
-                    obs::set_gauge(obs::Gauge::BudgetEvents, p.events);
-                    obs::set_gauge(obs::Gauge::BudgetDistinctBlocks, p.distinct_blocks);
-                    obs::set_gauge(obs::Gauge::BudgetTreeNodes, p.tree_nodes);
-                    if let Err(e) = opts.budget.check(p) {
-                        return Ok(Err(GrainError::Budget(e)));
-                    }
-                }
-                if state.event < buffer.events() {
-                    let _ckpt_span = obs::span(obs::Stage::Checkpoint);
-                    let mut enc = Enc::new();
-                    analyzer.snapshot_encode(&mut enc);
-                    let header = SnapshotHeader {
-                        block_size,
-                        sampled,
-                        events_replayed: state.event,
-                        accesses_replayed: state.accesses,
-                        nrefs,
-                    };
-                    let image = encode_snapshot(&header, &enc.buf);
-                    write_snapshot_file(&ckpt.dir, block_size, state.event, &image)?;
-                    obs::add(obs::Counter::CheckpointsWritten, 1);
-                    obs::set_gauge(obs::Gauge::SnapshotBytes, image.len() as u64);
-                    obs::emit(obs::EventKind::CheckpointWritten {
-                        grain: block_size,
-                        events_replayed: state.event,
-                        bytes: image.len() as u64,
-                    });
-                }
+            obs::set_gauge(obs::Gauge::BudgetEvents, p.events);
+            obs::set_gauge(obs::Gauge::BudgetDistinctBlocks, p.distinct_blocks);
+            obs::set_gauge(obs::Gauge::BudgetTreeNodes, p.tree_nodes);
+            if let Err(e) = opts.budget.check(p) {
+                return Ok(Err(GrainError::Budget(e)));
             }
-            let tree_nodes = analyzer.tree_nodes() as u64;
-            Ok(Ok((analyzer.finish(), tree_nodes)))
-        },
-    ));
-    match outcome {
-        Ok(Ok(Ok((profile, tree_nodes)))) => {
-            record_profile(block_size, &profile);
-            span.record(|args| {
-                args.events = Some(buffer.events());
-                args.distinct_blocks = Some(profile.distinct_blocks);
-                args.tree_nodes = Some(tree_nodes);
-                args.sample_inv = profile.sampling.map(|s| s.inv);
-            });
-            Ok(Ok(GrainDone {
-                profile,
-                timing: ReplayTiming {
-                    block_size,
-                    wall: start.elapsed(),
-                },
-                tree_nodes,
-                events: buffer.events(),
-                exec: None,
-            }))
         }
-        Ok(Ok(Err(error))) => Ok(Err(GrainFailure {
-            error,
-            events: progress.load(Ordering::Relaxed),
-        })),
-        Ok(Err(fatal)) => Err(fatal),
-        Err(payload) => Ok(Err(GrainFailure {
-            error: GrainError::Panicked(panic_message(payload.as_ref())),
-            events: progress.load(Ordering::Relaxed),
-        })),
+        if state.event < buffer.events() {
+            let _ckpt_span = obs::span(obs::Stage::Checkpoint);
+            let mut enc = Enc::new();
+            analyzer.snapshot_encode(&mut enc);
+            let header = SnapshotHeader {
+                block_size,
+                sampled,
+                events_replayed: state.event,
+                accesses_replayed: state.accesses,
+                nrefs,
+            };
+            let image = encode_snapshot(&header, &enc.buf);
+            write_snapshot_file(&ckpt.dir, block_size, state.event, &image)?;
+            obs::add(obs::Counter::CheckpointsWritten, 1);
+            obs::set_gauge(obs::Gauge::SnapshotBytes, image.len() as u64);
+            obs::emit(obs::EventKind::CheckpointWritten {
+                grain: block_size,
+                events_replayed: state.event,
+                bytes: image.len() as u64,
+            });
+        }
     }
+    let tree_nodes = analyzer.tree_nodes() as u64;
+    Ok(Ok((analyzer.finish(), tree_nodes, None)))
 }
 
 /// Crash-safe streaming form of [`analyze_buffer_with`]: each grain
@@ -1403,7 +1332,12 @@ pub fn analyze_buffer_checkpointed(
         failures: Vec::new(),
     };
     for &block_size in block_sizes {
-        let outcome = replay_grain_checkpointed(program, buffer, block_size, opts, ckpt)?;
+        let replay = || {
+            isolate_grain(block_size, |progress| {
+                feed_checkpointed(program, buffer, block_size, opts, ckpt, progress)
+            })
+        };
+        let outcome = replay()?;
         let (outcome, retried) = match outcome {
             Err(GrainFailure {
                 error: GrainError::Panicked(_),
@@ -1411,10 +1345,7 @@ pub fn analyze_buffer_checkpointed(
             }) if opts.retry => {
                 obs::add(obs::Counter::GrainsRetried, 1);
                 obs::emit(obs::EventKind::GrainRetried { grain: block_size });
-                (
-                    replay_grain_checkpointed(program, buffer, block_size, opts, ckpt)?,
-                    true,
-                )
+                (replay()?, true)
             }
             other => (other, false),
         };
@@ -1423,111 +1354,32 @@ pub fn analyze_buffer_checkpointed(
     Ok(partial)
 }
 
-/// Capture-once / replay-many variant of [`analyze_program`]: interprets
-/// the program a single time into a [`TraceBuffer`], then replays it
-/// concurrently — one thread per requested block size. Produces profiles
-/// bit-identical to the online pipeline, plus timing and buffer statistics.
-///
-/// # Errors
-///
-/// Propagates any [`ExecError`] from the capture run, and any grain
-/// failure from the replay phase as an [`AnalysisError`].
-///
-/// # Examples
-///
-/// ```
-/// use reuselens_core::{analyze_program, analyze_program_parallel};
-/// use reuselens_ir::ProgramBuilder;
-///
-/// let mut p = ProgramBuilder::new("demo");
-/// let a = p.array("a", 8, &[256]);
-/// p.routine("main", |r| {
-///     r.for_("t", 0, 2, |r, _| {
-///         r.for_("i", 0, 255, |r, i| {
-///             r.load(a, vec![i.into()]);
-///         });
-///     });
-/// });
-/// let prog = p.finish();
-/// let (par, stats) = analyze_program_parallel(&prog, &[64, 4096], vec![])?;
-/// let online = analyze_program(&prog, &[64, 4096], vec![])?;
-/// assert_eq!(par.profiles, online.profiles);
-/// assert_eq!(stats.replays.len(), 2);
-/// assert!(stats.buffer.encoded_bytes < stats.buffer.raw_bytes);
-/// # Ok::<(), reuselens_core::AnalysisError>(())
-/// ```
-pub fn analyze_program_parallel(
-    program: &Program,
-    block_sizes: &[u64],
-    index_arrays: Vec<(ArrayId, Vec<i64>)>,
-) -> Result<(AnalysisResult, AnalysisStats), AnalysisError> {
-    analyze_program_parallel_with(program, block_sizes, index_arrays, &AnalyzeOptions::default())
-}
-
-/// [`analyze_program_parallel`] with explicit [`AnalyzeOptions`] — the way
-/// to run the strict capture + replay pipeline under sampling, a budget,
-/// or the validating decoder. With default options it is the same call.
-///
-/// # Errors
-///
-/// Propagates any [`ExecError`] from the capture run, and any grain
-/// failure from the replay phase as an [`AnalysisError`].
-pub fn analyze_program_parallel_with(
-    program: &Program,
-    block_sizes: &[u64],
-    index_arrays: Vec<(ArrayId, Vec<i64>)>,
-    opts: &AnalyzeOptions,
-) -> Result<(AnalysisResult, AnalysisStats), AnalysisError> {
-    let start = Instant::now();
-    let (buffer, report) = capture_program(program, index_arrays)?;
-    let capture_wall = start.elapsed();
-    let (profiles, replays) =
-        analyze_buffer_with(program, &buffer, block_sizes, opts).into_strict()?;
-    Ok((
-        AnalysisResult {
-            profiles,
-            exec: report,
-        },
-        AnalysisStats {
-            capture_wall,
-            buffer: buffer.stats(),
-            replays,
-        },
-    ))
-}
-
-/// The degrading form of [`analyze_program_parallel`]: capture once, then
-/// replay every grain under panic isolation with the given options,
-/// returning whatever survived as a [`PartialAnalysis`] plus the capture
-/// report and statistics.
-///
-/// # Errors
-///
-/// Only the capture run can fail the whole call (there is nothing to
-/// replay without a trace); per-grain replay failures are reported inside
-/// the [`PartialAnalysis`].
-pub fn analyze_program_degraded(
-    program: &Program,
-    block_sizes: &[u64],
-    index_arrays: Vec<(ArrayId, Vec<i64>)>,
-    opts: &AnalyzeOptions,
-) -> Result<(PartialAnalysis, ExecReport, AnalysisStats), ExecError> {
-    let start = Instant::now();
-    let (buffer, report) = capture_program(program, index_arrays)?;
-    let capture_wall = start.elapsed();
-    let partial = analyze_buffer_with(program, &buffer, block_sizes, opts);
-    let stats = AnalysisStats {
-        capture_wall,
-        buffer: buffer.stats(),
-        replays: partial.replays.clone(),
-    };
-    Ok((partial, report, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use reuselens_ir::{Expr, ProgramBuilder};
+
+    fn analyze(
+        program: &Program,
+        block_sizes: &[u64],
+        index_arrays: Vec<(ArrayId, Vec<i64>)>,
+    ) -> Result<AnalysisResult, AnalysisError> {
+        analyze_program_with(program, block_sizes, index_arrays, &AnalyzeOptions::default())
+    }
+
+    /// Capture + strict replay with default options.
+    fn capture_and_replay(
+        program: &Program,
+        block_sizes: &[u64],
+        index_arrays: Vec<(ArrayId, Vec<i64>)>,
+    ) -> (AnalysisResult, TraceBuffer, Vec<ReplayTiming>) {
+        let (buffer, exec) = capture_program(program, index_arrays).unwrap();
+        let (profiles, timings) =
+            analyze_buffer_with(program, &buffer, block_sizes, &AnalyzeOptions::default())
+                .into_strict()
+                .unwrap();
+        (AnalysisResult { profiles, exec }, buffer, timings)
+    }
 
     #[test]
     fn analyze_program_with_index_arrays() {
@@ -1541,14 +1393,14 @@ mod tests {
         });
         let prog = p.finish();
         let idx: Vec<i64> = (0..8).map(|i| (i * 7) % 64).collect();
-        let result = analyze_program(&prog, &[64], vec![(ix, idx)]).unwrap();
+        let result = analyze(&prog, &[64], vec![(ix, idx)]).unwrap();
         assert_eq!(result.profiles[0].total_accesses, 8);
         assert!(result.profile_at(64).is_some());
         assert!(result.profile_at(128).is_none());
     }
 
     #[test]
-    fn parallel_pipeline_matches_online_bit_for_bit() {
+    fn replay_pipeline_matches_direct_bit_for_bit() {
         let mut p = ProgramBuilder::new("tiled");
         let a = p.array("a", 8, &[64, 64]);
         let b = p.array("b", 8, &[64, 64]);
@@ -1564,20 +1416,20 @@ mod tests {
         });
         let prog = p.finish();
         let grains = [64u64, 256, 4096];
-        let online = analyze_program(&prog, &grains, vec![]).unwrap();
-        let (par, stats) = analyze_program_parallel(&prog, &grains, vec![]).unwrap();
-        assert_eq!(online.profiles, par.profiles);
-        assert_eq!(online.exec, par.exec);
-        assert_eq!(stats.replays.len(), grains.len());
-        for (timing, &g) in stats.replays.iter().zip(&grains) {
+        let direct = analyze(&prog, &grains, vec![]).unwrap();
+        let (par, buffer, replays) = capture_and_replay(&prog, &grains, vec![]);
+        assert_eq!(direct.profiles, par.profiles);
+        assert_eq!(direct.exec, par.exec);
+        assert_eq!(replays.len(), grains.len());
+        for (timing, &g) in replays.iter().zip(&grains) {
             assert_eq!(timing.block_size, g);
         }
-        assert_eq!(stats.buffer.accesses, online.exec.accesses);
-        assert!(stats.buffer.compression_ratio() > 1.0);
+        assert_eq!(buffer.stats().accesses, direct.exec.accesses);
+        assert!(buffer.stats().compression_ratio() > 1.0);
     }
 
     #[test]
-    fn parallel_pipeline_with_index_arrays() {
+    fn replay_pipeline_with_index_arrays() {
         let mut p = ProgramBuilder::new("gather");
         let ix = p.index_array("ix", &[32]);
         let a = p.array("a", 8, &[512]);
@@ -1590,13 +1442,13 @@ mod tests {
         });
         let prog = p.finish();
         let idx: Vec<i64> = (0..32).map(|i| (i * 37) % 512).collect();
-        let online = analyze_program(&prog, &[64], vec![(ix, idx.clone())]).unwrap();
-        let (par, _) = analyze_program_parallel(&prog, &[64], vec![(ix, idx)]).unwrap();
-        assert_eq!(online.profiles, par.profiles);
+        let direct = analyze(&prog, &[64], vec![(ix, idx.clone())]).unwrap();
+        let (par, _, _) = capture_and_replay(&prog, &[64], vec![(ix, idx)]);
+        assert_eq!(direct.profiles, par.profiles);
     }
 
     #[test]
-    fn capture_then_replay_by_hand_matches_multigrain() {
+    fn capture_then_replay_by_hand_matches_direct() {
         let mut p = ProgramBuilder::new("sweep");
         let a = p.array("a", 8, &[2048]);
         p.routine("main", |r| {
@@ -1609,9 +1461,12 @@ mod tests {
         let prog = p.finish();
         let (buffer, report) = capture_program(&prog, vec![]).unwrap();
         assert_eq!(buffer.accesses(), report.accesses);
-        let (profiles, timings) = analyze_buffer(&prog, &buffer, &[64, 4096]).unwrap();
-        let online = analyze_program(&prog, &[64, 4096], vec![]).unwrap();
-        assert_eq!(profiles, online.profiles);
+        let (profiles, timings) =
+            analyze_buffer_with(&prog, &buffer, &[64, 4096], &AnalyzeOptions::default())
+                .into_strict()
+                .unwrap();
+        let direct = analyze(&prog, &[64, 4096], vec![]).unwrap();
+        assert_eq!(profiles, direct.profiles);
         assert_eq!(timings.len(), 2);
     }
 
@@ -1624,7 +1479,37 @@ mod tests {
             r.load(a, vec![Expr::load(ix, vec![Expr::c(0)])]);
         });
         let prog = p.finish();
-        assert!(analyze_program(&prog, &[64], vec![]).is_err());
+        assert!(analyze(&prog, &[64], vec![]).is_err());
+    }
+
+    /// With no grains there is no grain executor to report; the capture
+    /// fallback still returns the program's `ExecReport`, from the direct
+    /// and the buffer paths alike.
+    #[test]
+    fn empty_grain_list_still_reports_the_execution() {
+        let mut p = ProgramBuilder::new("gather");
+        let ix = p.index_array("ix", &[16]);
+        let a = p.array("a", 8, &[256]);
+        p.routine("main", |r| {
+            r.for_("t", 0, 1, |r, _| {
+                r.for_("i", 0, 15, |r, i| {
+                    r.load(a, vec![Expr::load(ix, vec![i.into()])]);
+                });
+            });
+        });
+        let prog = p.finish();
+        let idx: Vec<i64> = (0..16).map(|i| (i * 13) % 256).collect();
+        let (_, captured) = capture_program(&prog, vec![(ix, idx.clone())]).unwrap();
+        let validated = AnalyzeOptions {
+            validate: true,
+            ..AnalyzeOptions::default()
+        };
+        for opts in [AnalyzeOptions::default(), validated] {
+            let result =
+                analyze_program_with(&prog, &[], vec![(ix, idx.clone())], &opts).unwrap();
+            assert!(result.profiles.is_empty());
+            assert_eq!(result.exec, captured);
+        }
     }
 
     #[test]
@@ -1640,7 +1525,10 @@ mod tests {
         });
         let prog = p.finish();
         let (buffer, _) = capture_program(&prog, vec![]).unwrap();
-        let fast = analyze_buffer(&prog, &buffer, &[64, 4096]).unwrap().0;
+        let fast = analyze_buffer_with(&prog, &buffer, &[64, 4096], &AnalyzeOptions::default())
+            .into_strict()
+            .unwrap()
+            .0;
         let validated = analyze_buffer_with(
             &prog,
             &buffer,

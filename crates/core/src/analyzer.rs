@@ -1,9 +1,10 @@
 //! The online reuse-distance analyzer — the paper's event handler.
 //!
 //! For every memory access the analyzer advances a logical clock, finds the
-//! block's previous access in the [block table](crate::BlockTable), counts
-//! the distinct blocks touched in between with the
-//! [order-statistic tree](crate::OrderStatTree), locates the carrying scope
+//! block's previous access in a small recent-access window or the
+//! [block table](crate::BlockTable), counts the distinct blocks touched in
+//! between with the window and a [`TimeBits`] popcount bitmap over
+//! last-access times, locates the carrying scope
 //! on the [dynamic scope stack](crate::ScopeStack), and records the distance
 //! in the histogram of the *(sink reference, source scope, carrying scope)*
 //! pattern.
@@ -29,10 +30,10 @@ const SMALL_MAP_LIMIT: usize = 8;
 /// spend 7 of every 8 accesses on within-line spatial reuse at distance 0 —
 /// so the hot path resolves any reuse with distance `< WINDOW` by scanning a
 /// tiny array from its most-recent end and never touches the radix table or
-/// the order-statistic tree. Only evictions from the window (one per *cold*
-/// miss once the window is full) pay for tree and table maintenance, and the
-/// reuse path that does reach the tree folds lookup and reinsert into a
-/// single fused operation ([`TimeBits::count_reinsert`]).
+/// the [`TimeBits`] distance structure. Only evictions from the window (one
+/// per *cold* miss once the window is full) pay for bitmap and table
+/// maintenance, and the reuse path that does reach the bitmap folds lookup
+/// and reinsert into a single fused operation ([`TimeBits::count_reinsert`]).
 pub(crate) const WINDOW: usize = 32;
 
 /// One entry of the recent-access window (see [`WINDOW`]): a distinct block
@@ -259,8 +260,9 @@ pub(crate) fn decode_sink_patterns(
 /// executes.
 ///
 /// Implements [`TraceSink`], so it can be plugged directly into
-/// [`Executor::run`](reuselens_trace::Executor::run) — alone, teed with
-/// other sinks, or grouped in a [`MultiGrainAnalyzer`].
+/// [`Executor::run`](reuselens_trace::Executor::run) — alone or teed with
+/// other sinks. [`analyze_program_with`](crate::analyze_program_with) runs
+/// one per grain.
 ///
 /// # Examples
 ///
@@ -351,8 +353,8 @@ impl ReuseAnalyzer {
         self.distinct
     }
 
-    /// Live blocks tracked for distance counting: order-statistic tree
-    /// nodes plus recent-access window entries (one per distinct block).
+    /// Live blocks tracked for distance counting: [`TimeBits`] entries
+    /// plus recent-access window entries (one per distinct block).
     pub fn tree_nodes(&self) -> usize {
         self.tree.len() + self.window.len()
     }
@@ -558,9 +560,9 @@ impl ReuseAnalyzer {
     ///   `distance = len - 1 - i` with no tree or table work at all;
     /// * **table hit**: all `len` window blocks are more recent than the
     ///   previous access, so `distance = len + |tree keys > prev.time|`,
-    ///   where the count and the tree update (drop `prev.time`, add the
-    ///   newly evicted window head) fuse into one descent
-    ///   ([`OrderStatTree::count_reinsert`]);
+    ///   where the count and the bitmap update (drop `prev.time`, add the
+    ///   newly evicted window head) fuse into one pass
+    ///   ([`TimeBits::count_reinsert`]);
     /// * **cold**: first touch; the block enters the window and the oldest
     ///   entry (if any) spills into the tree + table.
     ///
@@ -661,62 +663,6 @@ impl TraceSink for ReuseAnalyzer {
 
     fn exit(&mut self, scope: ScopeId) {
         self.stack.exit(scope);
-    }
-}
-
-/// Runs several [`ReuseAnalyzer`]s over one event stream — the paper
-/// measures line-granularity (cache) and page-granularity (TLB) reuse in a
-/// single execution.
-#[derive(Debug)]
-pub struct MultiGrainAnalyzer {
-    analyzers: Vec<ReuseAnalyzer>,
-}
-
-impl MultiGrainAnalyzer {
-    /// Creates one analyzer per requested block size.
-    pub fn new(program: &Program, block_sizes: &[u64]) -> MultiGrainAnalyzer {
-        MultiGrainAnalyzer {
-            analyzers: block_sizes
-                .iter()
-                .map(|&b| ReuseAnalyzer::new(program, b))
-                .collect(),
-        }
-    }
-
-    /// Finishes all analyzers, returning one profile per block size in the
-    /// order given at construction.
-    pub fn finish(self) -> Vec<ReuseProfile> {
-        self.analyzers.into_iter().map(ReuseAnalyzer::finish).collect()
-    }
-}
-
-impl TraceSink for MultiGrainAnalyzer {
-    fn access(&mut self, r: RefId, addr: u64, size: u32, kind: AccessKind) {
-        for a in &mut self.analyzers {
-            a.access(r, addr, size, kind);
-        }
-    }
-    fn enter(&mut self, scope: ScopeId) {
-        for a in &mut self.analyzers {
-            a.enter(scope);
-        }
-    }
-    fn exit(&mut self, scope: ScopeId) {
-        for a in &mut self.analyzers {
-            a.exit(scope);
-        }
-    }
-    fn access_batch(&mut self, batch: &[AccessRecord]) {
-        // Grain-major: each analyzer consumes the whole batch while its
-        // tables stay hot, instead of interleaving per event.
-        for a in &mut self.analyzers {
-            a.access_batch(batch);
-        }
-    }
-    fn access_soa(&mut self, batch: &SoaBatch) {
-        for a in &mut self.analyzers {
-            a.access_soa(batch);
-        }
     }
 }
 
@@ -844,9 +790,14 @@ mod tests {
             });
         });
         let prog = p.finish();
-        let mut mg = MultiGrainAnalyzer::new(&prog, &[64, 4096]);
-        Executor::new(&prog).run(&mut mg).unwrap();
-        let profiles = mg.finish();
+        let profiles = crate::analyze_program_with(
+            &prog,
+            &[64, 4096],
+            vec![],
+            &crate::AnalyzeOptions::default(),
+        )
+        .unwrap()
+        .profiles;
         assert_eq!(profiles[0].block_size, 64);
         assert_eq!(profiles[1].block_size, 4096);
         assert!(profiles[0].distinct_blocks > profiles[1].distinct_blocks);

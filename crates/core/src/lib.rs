@@ -10,23 +10,28 @@
 //!   the whole reuse interval — the loop that *drives* the reuse, and the
 //!   one a transformation must target to shorten the distance.
 //!
-//! The machinery follows the paper exactly:
+//! The machinery follows the paper:
 //!
 //! * a logical **access clock** incremented per memory operation;
 //! * a [three-level hierarchical block table](BlockTable) mapping each
 //!   block to its last access time and last accessor;
-//! * a [balanced order-statistic tree](OrderStatTree) that counts the
-//!   distinct blocks accessed since any past time in `O(log M)`;
+//! * a distance structure that counts the distinct blocks accessed since
+//!   any past time. The paper uses a balanced order-statistic tree; the
+//!   exact [`ReuseAnalyzer`] puts a small recent-access window in front of
+//!   a [`TimeBits`] popcount bitmap over the dense access clock instead,
+//!   with identical distances. The [`OrderStatTree`] still serves the
+//!   sampled, context and reference analyzers and the partitioned
+//!   replay's cross-segment pass, where times are sparse;
 //! * a [dynamic scope stack](ScopeStack) searched for the carrying scope;
 //! * per-pattern [histograms](Histogram) with logarithmic bins.
 //!
-//! Start with [`analyze_program`] for the one-call API,
-//! [`analyze_program_with`] to run one executor per block granularity in
-//! parallel under [`AnalyzeOptions`], or [`analyze_program_parallel`] to
-//! interpret the program once into a compact trace buffer and replay it
-//! concurrently — all with bit-identical profiles. Or drive a
-//! [`ReuseAnalyzer`] / [`MultiGrainAnalyzer`] through
-//! [`reuselens_trace::Executor`] yourself.
+//! Start with [`analyze_program_with`]: it measures every requested block
+//! granularity under [`AnalyzeOptions`] and picks the cheapest event
+//! source the options allow. To keep a trace, interpret the program once
+//! with [`capture_program`] and replay the buffer with
+//! [`analyze_buffer_with`], or with [`analyze_buffer_checkpointed`] for
+//! crash-safe snapshots — all with bit-identical profiles. Or drive a
+//! [`ReuseAnalyzer`] through [`reuselens_trace::Executor`] yourself.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,12 +56,11 @@ mod spatial;
 mod timebits;
 
 pub use analyze::{
-    analyze_buffer, analyze_buffer_checkpointed, analyze_buffer_with, analyze_program,
-    analyze_program_degraded, analyze_program_parallel, analyze_program_parallel_with,
-    analyze_program_with, capture_program, AnalysisError, AnalysisResult, AnalysisStats,
-    AnalyzeOptions, CheckpointOptions, FailureReport, GrainError, PartialAnalysis, ReplayTiming,
+    analyze_buffer_checkpointed, analyze_buffer_with, analyze_program_with, capture_program,
+    AnalysisError, AnalysisResult, AnalyzeOptions, CheckpointOptions, FailureReport, GrainError,
+    PartialAnalysis, ReplayTiming,
 };
-pub use analyzer::{MultiGrainAnalyzer, ReuseAnalyzer};
+pub use analyzer::ReuseAnalyzer;
 pub use partition::ReplayThreads;
 pub use reference::ReferenceAnalyzer;
 pub use budget::{AnalysisBudget, BudgetExceeded, BudgetLimit, BudgetProgress};

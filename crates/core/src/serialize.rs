@@ -253,7 +253,7 @@ fn parse_field<'a, T: std::str::FromStr>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze_program;
+    use crate::{analyze_program_with, AnalyzeOptions};
     use reuselens_prng::SplitMix64;
     use reuselens_ir::{Expr, ProgramBuilder};
 
@@ -270,7 +270,8 @@ mod tests {
         });
         let prog = p.finish();
         let idx: Vec<i64> = (0..64).map(|k| (k * 61) % 4096).collect();
-        let analysis = analyze_program(&prog, &[64, 4096], vec![(ix, idx)]).unwrap();
+        let opts = AnalyzeOptions::default();
+        let analysis = analyze_program_with(&prog, &[64, 4096], vec![(ix, idx)], &opts).unwrap();
         SavedProfiles {
             name: prog.name().to_string(),
             size: 64.0,

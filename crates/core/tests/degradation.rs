@@ -4,9 +4,8 @@
 //! report rather than a process abort.
 
 use reuselens_core::{
-    analyze_buffer, analyze_buffer_with, analyze_program, analyze_program_degraded,
-    capture_program, AnalysisBudget, AnalysisError, AnalyzeOptions, BudgetLimit, GrainError,
-    SamplingConfig,
+    analyze_buffer_with, analyze_program_with, capture_program, AnalysisBudget, AnalysisError,
+    AnalyzeOptions, BudgetLimit, GrainError, SamplingConfig,
 };
 use reuselens_ir::{Program, ProgramBuilder};
 use reuselens_trace::fault::Corruptor;
@@ -45,10 +44,11 @@ fn single_grain_panic_leaves_siblings_bit_identical() {
     assert_eq!(partial.profiles.len(), 2);
     assert_eq!(partial.failures.len(), 1);
 
-    // Survivors match the online pipeline exactly.
-    let online = analyze_program(&prog, &[64, 4096], vec![]).unwrap();
-    assert_eq!(partial.profile_at(64), online.profile_at(64));
-    assert_eq!(partial.profile_at(4096), online.profile_at(4096));
+    // Survivors match a healthy run exactly.
+    let healthy =
+        analyze_program_with(&prog, &[64, 4096], vec![], &AnalyzeOptions::default()).unwrap();
+    assert_eq!(partial.profile_at(64), healthy.profile_at(64));
+    assert_eq!(partial.profile_at(4096), healthy.profile_at(4096));
     assert_eq!(partial.replays.len(), 2);
     assert_eq!(partial.replays[0].block_size, 64);
     assert_eq!(partial.replays[1].block_size, 4096);
@@ -66,13 +66,15 @@ fn single_grain_panic_leaves_siblings_bit_identical() {
     assert!(partial.failure_at(64).is_none());
 }
 
-/// The strict entry point surfaces the same failure as a typed error —
-/// after joining every thread, not by aborting the process.
+/// The strict form surfaces the same failure as a typed error — after
+/// joining every thread, not by aborting the process.
 #[test]
 fn strict_analyze_buffer_returns_grain_panicked() {
     let prog = workload(512);
     let (buffer, _) = capture_program(&prog, vec![]).unwrap();
-    let err = analyze_buffer(&prog, &buffer, &[64, PANICKING_GRAIN]).unwrap_err();
+    let partial =
+        analyze_buffer_with(&prog, &buffer, &[64, PANICKING_GRAIN], &AnalyzeOptions::default());
+    let err = partial.into_strict().unwrap_err();
     match err {
         AnalysisError::GrainPanicked {
             block_size,
@@ -143,7 +145,10 @@ fn budgets_trip_with_progress_counters() {
 fn generous_budget_matches_fast_path() {
     let prog = workload(2048);
     let (buffer, _) = capture_program(&prog, vec![]).unwrap();
-    let fast = analyze_buffer(&prog, &buffer, &[64, 4096]).unwrap().0;
+    let fast = analyze_buffer_with(&prog, &buffer, &[64, 4096], &AnalyzeOptions::default())
+        .into_strict()
+        .unwrap()
+        .0;
     let opts = AnalyzeOptions {
         budget: AnalysisBudget::unlimited()
             .with_max_events(1 << 40)
@@ -253,18 +258,18 @@ fn mixed_failure_modes_in_one_request() {
     ));
 }
 
-/// The one-call degraded pipeline: capture + isolated replay + stats.
+/// The degraded pipeline end to end: capture + isolated replay + stats.
 #[test]
-fn analyze_program_degraded_end_to_end() {
+fn capture_then_degraded_replay_end_to_end() {
     let prog = workload(1024);
     let grains = [64u64, PANICKING_GRAIN, 4096];
-    let (partial, report, stats) =
-        analyze_program_degraded(&prog, &grains, vec![], &AnalyzeOptions::default()).unwrap();
+    let (buffer, report) = capture_program(&prog, vec![]).unwrap();
+    let partial = analyze_buffer_with(&prog, &buffer, &grains, &AnalyzeOptions::default());
     assert_eq!(report.accesses, 2 * 1024);
     assert_eq!(partial.profiles.len(), 2);
     assert_eq!(partial.failures.len(), 1);
-    assert_eq!(stats.replays.len(), 2, "timings cover surviving grains only");
-    assert_eq!(stats.buffer.accesses, report.accesses);
+    assert_eq!(partial.replays.len(), 2, "timings cover surviving grains only");
+    assert_eq!(buffer.stats().accesses, report.accesses);
 }
 
 /// `into_strict` converts failures into the typed error taxonomy.

@@ -1,19 +1,40 @@
 //! Cross-granularity invariants of the analyzer, checked on seeded random
 //! traces: the properties the paper relies on when it measures cache
-//! (line) and TLB (page) behaviour in a single pass.
+//! (line) and TLB (page) behaviour from one program.
 
-use reuselens_core::{MultiGrainAnalyzer, ReuseAnalyzer};
-use reuselens_ir::{AccessKind, Expr, ProgramBuilder, RefId};
+use reuselens_core::{
+    analyze_buffer_with, analyze_program_with, capture_program, AnalysisResult, AnalyzeOptions,
+};
+use reuselens_ir::{ArrayId, Expr, Program, ProgramBuilder};
 use reuselens_prng::SplitMix64;
-use reuselens_trace::TraceSink;
 
-fn dummy_program() -> reuselens_ir::Program {
-    let mut p = ProgramBuilder::new("dummy");
-    let a = p.array("a", 8, &[1]);
+/// Index arrays seeding a program's executor.
+type IndexArrays = Vec<(ArrayId, Vec<i64>)>;
+
+/// A gather `a[ix[i]]` over every entry of `indices`, repeated `sweeps`
+/// times, on an array of `elems` 8-byte elements: the random access
+/// stream of each case, as a program.
+fn gather(indices: &[i64], elems: u64, sweeps: i64) -> (Program, IndexArrays) {
+    let n = indices.len() as u64;
+    let mut p = ProgramBuilder::new("gather");
+    let ix = p.index_array("ix", &[n]);
+    let a = p.array("a", 8, &[elems]);
     p.routine("main", |r| {
-        r.load(a, vec![Expr::c(0)]);
+        r.for_("t", 0, sweeps - 1, |r, _| {
+            r.for_("i", 0, (n - 1) as i64, |r, i| {
+                r.load(a, vec![Expr::load(ix, vec![i.into()])]);
+            });
+        });
     });
-    p.finish()
+    (p.finish(), vec![(ix, indices.to_vec())])
+}
+
+fn random_indices(rng: &mut SplitMix64, len: std::ops::Range<u64>, elems: u64) -> Vec<i64> {
+    rng.vec_u64(len, 0..elems).into_iter().map(|k| k as i64).collect()
+}
+
+fn analyze(program: &Program, grains: &[u64], index_arrays: IndexArrays) -> AnalysisResult {
+    analyze_program_with(program, grains, index_arrays, &AnalyzeOptions::default()).unwrap()
 }
 
 /// Coarser blocks can only merge lines: fewer (or equal) distinct
@@ -22,13 +43,8 @@ fn dummy_program() -> reuselens_ir::Program {
 fn coarser_granularity_merges_blocks() {
     let mut rng = SplitMix64::seed_from_u64(0x6a41_0001);
     for _case in 0..48 {
-        let addrs = rng.vec_u64(1..400, 0..1 << 16);
-        let prog = dummy_program();
-        let mut mg = MultiGrainAnalyzer::new(&prog, &[64, 4096]);
-        for &a in &addrs {
-            mg.access(RefId(0), a, 8, AccessKind::Load);
-        }
-        let profiles = mg.finish();
+        let (prog, index_arrays) = gather(&random_indices(&mut rng, 1..400, 1 << 13), 1 << 13, 1);
+        let profiles = analyze(&prog, &[64, 4096], index_arrays).profiles;
         let (fine, coarse) = (&profiles[0], &profiles[1]);
         assert_eq!(fine.total_accesses, coarse.total_accesses);
         assert!(coarse.distinct_blocks <= fine.distinct_blocks);
@@ -38,41 +54,14 @@ fn coarser_granularity_merges_blocks() {
     }
 }
 
-/// The multi-grain wrapper is exactly equivalent to running each
-/// analyzer separately over the same trace.
-#[test]
-fn multigrain_equals_independent_runs() {
-    let mut rng = SplitMix64::seed_from_u64(0x6a41_0002);
-    for _case in 0..48 {
-        let addrs = rng.vec_u64(1..300, 0..1 << 14);
-        let prog = dummy_program();
-        let mut mg = MultiGrainAnalyzer::new(&prog, &[64, 1024]);
-        let mut fine = ReuseAnalyzer::new(&prog, 64);
-        let mut coarse = ReuseAnalyzer::new(&prog, 1024);
-        for &a in &addrs {
-            mg.access(RefId(0), a, 8, AccessKind::Load);
-            fine.access(RefId(0), a, 8, AccessKind::Load);
-            coarse.access(RefId(0), a, 8, AccessKind::Load);
-        }
-        let profiles = mg.finish();
-        assert_eq!(&profiles[0], &fine.finish());
-        assert_eq!(&profiles[1], &coarse.finish());
-    }
-}
-
 /// At any granularity, a reuse distance never exceeds the number of
 /// other distinct blocks in the whole run.
 #[test]
 fn distances_bounded_by_footprint() {
     let mut rng = SplitMix64::seed_from_u64(0x6a41_0003);
     for _case in 0..48 {
-        let addrs = rng.vec_u64(1..300, 0..1 << 12);
-        let prog = dummy_program();
-        let mut an = ReuseAnalyzer::new(&prog, 64);
-        for &a in &addrs {
-            an.access(RefId(0), a, 8, AccessKind::Load);
-        }
-        let profile = an.finish();
+        let (prog, index_arrays) = gather(&random_indices(&mut rng, 1..300, 1 << 9), 1 << 9, 1);
+        let profile = analyze(&prog, &[64], index_arrays).profiles.remove(0);
         let bound = profile.distinct_blocks; // self excluded => strict
         for pat in &profile.patterns {
             if let Some(max) = pat.histogram.max_distance() {
@@ -87,32 +76,24 @@ fn distances_bounded_by_footprint() {
     }
 }
 
-/// Capture + parallel replay is bit-identical to the online pass on a
+/// Capture + parallel replay is bit-identical to direct execution on a
 /// random indirect-access trace, at every granularity.
 #[test]
-fn parallel_replay_equals_online_on_random_gather() {
+fn parallel_replay_equals_direct_on_random_gather() {
     let mut rng = SplitMix64::seed_from_u64(0x6a41_0004);
     for _case in 0..8 {
         let n = rng.gen_range(16..128);
-        let mut p = ProgramBuilder::new("gather");
-        let ix = p.index_array("ix", &[n]);
-        let a = p.array("a", 8, &[8192]);
-        p.routine("main", |r| {
-            r.for_("t", 0, 2, |r, _| {
-                r.for_("i", 0, (n - 1) as i64, |r, i| {
-                    r.load(a, vec![Expr::load(ix, vec![i.into()])]);
-                });
-            });
-        });
-        let prog = p.finish();
         let idx: Vec<i64> = (0..n).map(|_| rng.gen_range(0..8192) as i64).collect();
-        let online =
-            reuselens_core::analyze_program(&prog, &[64, 4096], vec![(ix, idx.clone())]).unwrap();
-        let (par, stats) =
-            reuselens_core::analyze_program_parallel(&prog, &[64, 4096], vec![(ix, idx)])
+        let (prog, index_arrays) = gather(&idx, 8192, 3);
+        let direct = analyze(&prog, &[64, 4096], index_arrays.clone());
+        let (buffer, exec) = capture_program(&prog, index_arrays).unwrap();
+        let (profiles, _) =
+            analyze_buffer_with(&prog, &buffer, &[64, 4096], &AnalyzeOptions::default())
+                .into_strict()
                 .unwrap();
-        assert_eq!(online.profiles, par.profiles);
-        assert_eq!(stats.buffer.accesses, online.exec.accesses);
+        assert_eq!(direct.profiles, profiles);
+        assert_eq!(buffer.stats().accesses, direct.exec.accesses);
+        assert_eq!(exec, direct.exec);
     }
 }
 
@@ -120,21 +101,10 @@ fn parallel_replay_equals_online_on_random_gather() {
 /// profiles (the repro harnesses depend on this).
 #[test]
 fn analysis_is_deterministic() {
-    let mut p = ProgramBuilder::new("det");
-    let ix = p.index_array("ix", &[256]);
-    let a = p.array("a", 8, &[4096]);
-    p.routine("main", |r| {
-        r.for_("t", 0, 2, |r, _| {
-            r.for_("i", 0, 255, |r, i| {
-                r.load(a, vec![Expr::load(ix, vec![i.into()])]);
-            });
-        });
-    });
-    let prog = p.finish();
     let idx: Vec<i64> = (0..256).map(|k| (k * 37) % 4096).collect();
-    let r1 =
-        reuselens_core::analyze_program(&prog, &[64, 4096], vec![(ix, idx.clone())]).unwrap();
-    let r2 = reuselens_core::analyze_program(&prog, &[64, 4096], vec![(ix, idx)]).unwrap();
+    let (prog, index_arrays) = gather(&idx, 4096, 3);
+    let r1 = analyze(&prog, &[64, 4096], index_arrays.clone());
+    let r2 = analyze(&prog, &[64, 4096], index_arrays);
     assert_eq!(r1.profiles, r2.profiles);
     assert_eq!(r1.exec, r2.exec);
 }

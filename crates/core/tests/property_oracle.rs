@@ -7,16 +7,14 @@
 //! [`ReuseAnalyzer`] at grains 1/64/4096, and checks, access by access,
 //! that the analyzer's measured distance equals
 //! [`oracle::stack_distances`]. The finished profile's merged histogram
-//! and cold count must match the oracle's aggregates too, and a
-//! [`MultiGrainAnalyzer`] over the same stream must produce profiles
-//! bit-identical to the per-grain analyzers.
+//! and cold count must match the oracle's aggregates too.
 //!
 //! Failures are deterministic: the panic message carries the case index,
 //! seed, grain, and the smallest failing prefix length (found by a
 //! fixed-seed shrink loop), so any failure reproduces exactly.
 
 use reuselens_core::oracle;
-use reuselens_core::{Histogram, MultiGrainAnalyzer, ReuseAnalyzer};
+use reuselens_core::{Histogram, ReuseAnalyzer};
 use reuselens_ir::{AccessKind, Program, ProgramBuilder, RefId};
 use reuselens_prng::SplitMix64;
 use reuselens_trace::TraceSink;
@@ -168,37 +166,4 @@ fn analyzer_matches_oracle_on_random_traces() {
         }
     }
     assert_eq!(case, SHAPES.len() * CASES_PER_SHAPE);
-}
-
-/// A [`MultiGrainAnalyzer`] over one stream must equal independent
-/// per-grain analyzers — same fan-out the replay pipeline relies on.
-#[test]
-fn multi_grain_matches_independent_analyzers() {
-    let program = one_ref_program();
-    for case in 0..8usize {
-        let seed = BASE_SEED ^ 0xfeed ^ (case as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let shape = SHAPES[case % SHAPES.len()];
-        let addrs = gen_trace(shape, seed);
-        let mut multi = MultiGrainAnalyzer::new(&program, &GRAINS);
-        let mut singles: Vec<ReuseAnalyzer> = GRAINS
-            .iter()
-            .map(|&g| ReuseAnalyzer::new(&program, g))
-            .collect();
-        for &addr in &addrs {
-            multi.access(RefId(0), addr, 8, AccessKind::Load);
-            for s in &mut singles {
-                s.access(RefId(0), addr, 8, AccessKind::Load);
-            }
-        }
-        let multi_profiles = multi.finish();
-        for (mp, s) in multi_profiles.iter().zip(singles) {
-            let sp = s.finish();
-            assert_eq!(
-                mp, &sp,
-                "case {case} (seed {seed:#x}): multi-grain profile at grain {} \
-                 diverges from the standalone analyzer",
-                sp.block_size
-            );
-        }
-    }
 }

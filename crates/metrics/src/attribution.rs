@@ -232,7 +232,7 @@ impl LevelMetrics {
 mod tests {
     use super::*;
     use reuselens_cache::{predict_level, Assoc, CacheConfig};
-    use reuselens_core::analyze_program;
+    use reuselens_core::{analyze_program_with, AnalyzeOptions};
     use reuselens_ir::ProgramBuilder;
     use reuselens_trace::{Executor, NullSink};
 
@@ -250,7 +250,8 @@ mod tests {
             });
         });
         let prog = p.finish();
-        let analysis = analyze_program(&prog, &[64], vec![]).unwrap();
+        let analysis =
+            analyze_program_with(&prog, &[64], vec![], &AnalyzeOptions::default()).unwrap();
         let cfg = CacheConfig::new("L2", 64 * 64, 64, Assoc::Full);
         let pred = predict_level(analysis.profile_at(64).unwrap(), &cfg);
         let exec = Executor::new(&prog).run(&mut NullSink).unwrap();

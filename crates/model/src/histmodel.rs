@@ -194,7 +194,7 @@ impl ProfileModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reuselens_core::analyze_program;
+    use reuselens_core::{analyze_program_with, AnalyzeOptions};
     use reuselens_ir::ProgramBuilder;
 
     /// Streaming kernel re-swept T times at size n: reuses scale ~n,
@@ -210,7 +210,7 @@ mod tests {
             });
         });
         let prog = p.finish();
-        analyze_program(&prog, &[64], vec![])
+        analyze_program_with(&prog, &[64], vec![], &AnalyzeOptions::default())
             .unwrap()
             .profiles
             .remove(0)

@@ -136,7 +136,7 @@ impl HttpServer {
 
     /// Stops accepting, wakes the accept loop, and joins it. In-flight
     /// handler threads finish their single response on their own (their
-    /// sockets carry [`SOCKET_TIMEOUT`]).
+    /// sockets carry a 5 s read and write timeout).
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
         // The accept loop blocks in accept(); poke it awake. A failure

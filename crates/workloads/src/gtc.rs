@@ -487,12 +487,11 @@ fn neighbor(ig: u64, m: u64, mgrid: u64) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reuselens_core::analyze_program;
 
     fn analyze(cfg: &GtcConfig) -> (BuiltWorkload, reuselens_core::AnalysisResult) {
         let w = build(cfg);
         w.program.validate().unwrap();
-        let r = analyze_program(&w.program, &[64], w.index_arrays.clone()).unwrap();
+        let r = crate::analyze_lines(&w);
         (w, r)
     }
 

@@ -267,14 +267,13 @@ pub fn program_of(w: &BuiltWorkload) -> &Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reuselens_core::analyze_program;
 
     #[test]
     fn fig1_variants_touch_identical_data() {
         let a = fig1_interchange(64, 32, Fig1Variant::RowOrder);
         let b = fig1_interchange(64, 32, Fig1Variant::Interchanged);
-        let ra = analyze_program(&a.program, &[64], vec![]).unwrap();
-        let rb = analyze_program(&b.program, &[64], vec![]).unwrap();
+        let ra = crate::analyze_lines(&a);
+        let rb = crate::analyze_lines(&b);
         assert_eq!(ra.exec.accesses, rb.exec.accesses);
         assert_eq!(
             ra.profiles[0].distinct_blocks,
@@ -289,8 +288,8 @@ mod tests {
         // immediate. Compare mean reuse distances.
         let a = fig1_interchange(128, 64, Fig1Variant::RowOrder);
         let b = fig1_interchange(128, 64, Fig1Variant::Interchanged);
-        let pa = analyze_program(&a.program, &[64], vec![]).unwrap().profiles.remove(0);
-        let pb = analyze_program(&b.program, &[64], vec![]).unwrap().profiles.remove(0);
+        let pa = crate::analyze_lines(&a).profiles.remove(0);
+        let pb = crate::analyze_lines(&b).profiles.remove(0);
         let mean = |p: &reuselens_core::ReuseProfile| {
             let mut h = reuselens_core::Histogram::new();
             for pat in &p.patterns {
@@ -311,7 +310,7 @@ mod tests {
     #[test]
     fn random_gather_runs_with_its_index_data() {
         let w = random_gather(1024, 4096, 2, 42);
-        let r = analyze_program(&w.program, &[64], w.index_arrays.clone()).unwrap();
+        let r = crate::analyze_lines(&w);
         assert_eq!(r.exec.accesses, 2 * 4096);
         // Determinism: same seed, same trace.
         let w2 = random_gather(1024, 4096, 2, 42);
@@ -321,8 +320,7 @@ mod tests {
     #[test]
     fn stencil_time_loop_carries_cross_step_reuse() {
         let w = stencil2d(48, 2);
-        let prof = analyze_program(&w.program, &[64], vec![])
-            .unwrap()
+        let prof = crate::analyze_lines(&w)
             .profiles
             .remove(0);
         let t = w.program.scope_by_name("t").unwrap();

@@ -51,3 +51,12 @@ impl BuiltWorkload {
         raw / (self.normalizer * self.timesteps as f64)
     }
 }
+
+/// Line-grain (64 B) reuse analysis of a workload with default options,
+/// as the crate's unit tests measure it.
+#[cfg(test)]
+fn analyze_lines(w: &BuiltWorkload) -> reuselens_core::AnalysisResult {
+    let opts = reuselens_core::AnalyzeOptions::default();
+    reuselens_core::analyze_program_with(&w.program, &[64], w.index_arrays.clone(), &opts)
+        .unwrap()
+}

@@ -345,14 +345,13 @@ fn emit_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reuselens_core::analyze_program;
 
     #[test]
     fn every_variant_validates_and_runs() {
         for b in [1, 2, 3, 6] {
             let w = build(&SweepConfig::new(6).with_mi_block(b));
             w.program.validate().unwrap();
-            let r = analyze_program(&w.program, &[64], vec![]).unwrap();
+            let r = crate::analyze_lines(&w);
             assert!(r.exec.accesses > 0);
         }
         let w = build(&SweepConfig::new(6).with_mi_block(6).with_dim_interchange());
@@ -365,8 +364,8 @@ mod tests {
         // identical access counts and footprint.
         let w1 = build(&SweepConfig::new(8));
         let w3 = build(&SweepConfig::new(8).with_mi_block(3));
-        let r1 = analyze_program(&w1.program, &[64], vec![]).unwrap();
-        let r3 = analyze_program(&w3.program, &[64], vec![]).unwrap();
+        let r1 = crate::analyze_lines(&w1);
+        let r3 = crate::analyze_lines(&w3);
         assert_eq!(r1.exec.accesses, r3.exec.accesses);
         assert_eq!(
             r1.profiles[0].distinct_blocks,
@@ -378,8 +377,8 @@ mod tests {
     fn dim_interchange_preserves_work() {
         let w1 = build(&SweepConfig::new(8));
         let w2 = build(&SweepConfig::new(8).with_dim_interchange());
-        let r1 = analyze_program(&w1.program, &[64], vec![]).unwrap();
-        let r2 = analyze_program(&w2.program, &[64], vec![]).unwrap();
+        let r1 = crate::analyze_lines(&w1);
+        let r2 = crate::analyze_lines(&w2);
         assert_eq!(r1.exec.accesses, r2.exec.accesses);
     }
 
@@ -387,7 +386,7 @@ mod tests {
     fn wavefront_visits_every_cell_once_per_octant() {
         let cfg = SweepConfig::new(6);
         let w = build(&cfg);
-        let r = analyze_program(&w.program, &[64], vec![]).unwrap();
+        let r = crate::analyze_lines(&w);
         // src_loop runs once per (j,k,mi) wavefront cell per octant; its
         // per-entry trip count is `it`.
         let src_loop = w.program.scope_by_name("src_loop").unwrap();
@@ -400,8 +399,7 @@ mod tests {
     #[test]
     fn idiag_carries_reuse_between_adjacent_planes() {
         let w = build(&SweepConfig::new(8));
-        let profile = analyze_program(&w.program, &[64], vec![])
-            .unwrap()
+        let profile = crate::analyze_lines(&w)
             .profiles
             .remove(0);
         let idiag = w.program.scope_by_name("idiag").unwrap();
@@ -434,8 +432,8 @@ mod tests {
     fn blocking_moves_idiag_reuse_into_the_cell_loops() {
         let w1 = build(&SweepConfig::new(8));
         let w6 = build(&SweepConfig::new(8).with_mi_block(6));
-        let p1 = analyze_program(&w1.program, &[64], vec![]).unwrap().profiles.remove(0);
-        let p6 = analyze_program(&w6.program, &[64], vec![]).unwrap().profiles.remove(0);
+        let p1 = crate::analyze_lines(&w1).profiles.remove(0);
+        let p6 = crate::analyze_lines(&w6).profiles.remove(0);
         let idiag1 = w1.program.scope_by_name("idiag").unwrap();
         let idiag6 = w6.program.scope_by_name("idiag").unwrap();
         let carried = |p: &reuselens_core::ReuseProfile, s| {
@@ -450,14 +448,13 @@ mod tests {
 #[cfg(test)]
 mod dz_tests {
     use super::*;
-    use reuselens_core::analyze_program;
 
     #[test]
     fn octant_inner_preserves_work() {
         let base = build(&SweepConfig::new(8));
         let dz = build(&SweepConfig::new(8).with_octant_inner());
-        let rb = analyze_program(&base.program, &[64], vec![]).unwrap();
-        let rd = analyze_program(&dz.program, &[64], vec![]).unwrap();
+        let rb = crate::analyze_lines(&base);
+        let rd = crate::analyze_lines(&dz);
         assert_eq!(rb.exec.accesses, rd.exec.accesses);
         assert_eq!(
             rb.profiles[0].distinct_blocks,
@@ -473,8 +470,7 @@ mod dz_tests {
         // whole-mesh distance; restructured, the iq loop sits inside the
         // cell loops and its carried reuses are near-zero distance.
         let iq_mean = |w: &crate::BuiltWorkload| {
-            let prof = analyze_program(&w.program, &[64], vec![])
-                .unwrap()
+            let prof = crate::analyze_lines(w)
                 .profiles
                 .remove(0);
             let iq = w.program.scope_by_name("iq").unwrap();

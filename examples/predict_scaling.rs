@@ -5,20 +5,21 @@
 //! Run with: `cargo run --release --example predict_scaling`
 
 use reuselens::cache::{predict_level, MemoryHierarchy};
-use reuselens::core::analyze_program;
+use reuselens::core::{analyze_program_with, AnalyzeOptions};
 use reuselens::model::ProfileModel;
 use reuselens::workloads::kernels::stencil2d;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let h = MemoryHierarchy::itanium2();
     let l2 = &h.levels[0];
+    let opts = AnalyzeOptions::default();
 
     // Train on three grid sizes of a 2-D stencil with a time loop.
     let train_sizes = [64u64, 96, 128];
     let mut profiles = Vec::new();
     for &n in &train_sizes {
         let w = stencil2d(n, 3);
-        let analysis = analyze_program(&w.program, &[l2.line_size], vec![])?;
+        let analysis = analyze_program_with(&w.program, &[l2.line_size], vec![], &opts)?;
         profiles.push(analysis.profiles.into_iter().next().unwrap());
         println!("measured n={n:<4} ({} accesses)", profiles.last().unwrap().total_accesses);
     }
@@ -33,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Ground truth.
     let w = stencil2d(target, 3);
-    let analysis = analyze_program(&w.program, &[l2.line_size], vec![])?;
+    let analysis = analyze_program_with(&w.program, &[l2.line_size], vec![], &opts)?;
     let actual = predict_level(analysis.profile_at(l2.line_size).unwrap(), l2);
 
     println!("\nL2 misses at unmeasured n={target}:");

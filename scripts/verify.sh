@@ -91,6 +91,9 @@ cargo test -q --test protocol_fuzz
 cargo test -q --test daemon_stress
 
 cargo clippy --workspace --all-targets --no-deps -- -D warnings
+# Rustdoc gate: a broken or private intra-doc link fails the build, so a
+# deleted or renamed item cannot leave dangling references in the docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Kill-and-resume CLI smoke: a checkpointed run whose newest snapshot is
 # then torn mid-file must resume to a profile byte-identical to a plain

@@ -1,6 +1,6 @@
 //! Analysis-as-a-service: a long-running daemon that accepts analysis
 //! jobs over a newline-delimited JSON protocol and persists captured
-//! traces in an on-disk [`TraceStore`](reuselens_store::TraceStore).
+//! traces in an on-disk [`TraceStore`].
 //!
 //! One request per line, one response per line. A request is a flat JSON
 //! object whose `kind` field selects the job:
@@ -1654,16 +1654,10 @@ fn accept_loop(listener: &TcpListener, stop: &Arc<AtomicBool>, daemon: &Arc<Daem
         let Ok(stream) = stream else { continue };
         if active.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
             let mut stream = stream;
-            let _ = stream.write_all(
-                error_response(
-                    "job-0",
-                    &ServeError::Overloaded {
-                        queue: MAX_CONNECTIONS,
-                    },
-                )
-                .as_bytes(),
-            );
-            let _ = stream.write_all(b"\n");
+            let overloaded = ServeError::Overloaded {
+                queue: MAX_CONNECTIONS,
+            };
+            let _ = write_line(&mut stream, error_response("job-0", &overloaded));
             continue;
         }
         active.fetch_add(1, Ordering::SeqCst);
@@ -1682,13 +1676,20 @@ fn accept_loop(listener: &TcpListener, stop: &Arc<AtomicBool>, daemon: &Arc<Daem
     }
 }
 
+/// Writes one response line with a single `write_all`. Two writes (the
+/// response, then its newline) let Nagle's algorithm hold the newline on
+/// a TCP socket until the client's delayed ACK, about 40 ms per response.
+fn write_line<W: Write + ?Sized>(out: &mut W, mut response: String) -> io::Result<()> {
+    response.push('\n');
+    out.write_all(response.as_bytes())
+}
+
 fn handle_connection(stream: &mut TcpStream, daemon: &Arc<Daemon>) -> io::Result<()> {
     let mut reader = io::BufReader::new(stream.try_clone()?);
     while let Some(line) = read_line_capped(&mut reader, MAX_LINE_BYTES)? {
         let rx = daemon.submit_line(&line);
         let Ok(response) = rx.recv() else { break };
-        stream.write_all(response.as_bytes())?;
-        stream.write_all(b"\n")?;
+        write_line(stream, response)?;
         stream.flush()?;
     }
     Ok(())
@@ -1716,8 +1717,7 @@ pub fn run_stdin(
      -> io::Result<()> {
         if let Some(rx) = pending.pop_front() {
             if let Ok(response) = rx.recv() {
-                output.write_all(response.as_bytes())?;
-                output.write_all(b"\n")?;
+                write_line(output, response)?;
                 output.flush()?;
             }
         }
@@ -1904,6 +1904,34 @@ mod tests {
         assert!(lines[0].contains("\"pong\":true"), "{}", lines[0]);
         assert!(lines[1].contains("\"traces\":[]"), "{}", lines[1]);
         assert!(lines[2].contains("\"type\":\"parse\""), "{}", lines[2]);
+        daemon.shutdown();
+    }
+
+    /// Each response leaves in one write, so request/response round trips
+    /// on one connection do not wait on the client's delayed ACK (about
+    /// 40 ms each when the newline went out as a second write).
+    #[test]
+    fn tcp_round_trips_do_not_stall() {
+        let daemon = Arc::new(
+            Daemon::start(DaemonConfig::new(tmpdir("nodelay"))).expect("start daemon"),
+        );
+        let addr = daemon.serve("127.0.0.1:0").expect("bind");
+        let stream = TcpStream::connect(addr).expect("connect");
+        let mut reader = io::BufReader::new(stream.try_clone().expect("clone"));
+        let mut writer = stream;
+        let mut line = String::new();
+        let start = Instant::now();
+        for _ in 0..20 {
+            writer.write_all(b"{\"kind\":\"ping\"}\n").expect("send");
+            line.clear();
+            reader.read_line(&mut line).expect("read");
+            assert!(line.contains("\"pong\":true"), "{line}");
+        }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(400),
+            "20 pings took {elapsed:?}"
+        );
         daemon.shutdown();
     }
 

@@ -2,11 +2,11 @@
 //! workload models, at multiple block granularities:
 //!
 //! * the capture-once / replay-many pipeline must produce
-//!   **bit-identical** reuse profiles to the online single-pass analyzer;
-//! * the end-to-end pipeline, which runs one executor per grain straight
-//!   into its analyzer, must produce the same profiles, executor report
-//!   and miss predictions as capture → replay → attribution, exact and
-//!   sampled, and fail with the same executor error.
+//!   **bit-identical** reuse profiles to direct execution, which runs one
+//!   executor per grain straight into its analyzer;
+//! * the end-to-end pipeline must produce the same profiles, executor
+//!   report and miss predictions as capture → replay → attribution, exact
+//!   and sampled, and fail with the same executor error.
 //!
 //! This pins the trace buffer's encode/decode round trip and the
 //! threaded replay against the reference pipeline — any divergence in
@@ -15,8 +15,8 @@
 
 use reuselens::cache::MemoryHierarchy;
 use reuselens::core::{
-    analyze_buffer_with, analyze_program, analyze_program_parallel, capture_program,
-    AnalysisResult, AnalyzeOptions, SamplingConfig,
+    analyze_buffer_with, analyze_program_with, capture_program, AnalysisResult, AnalyzeOptions,
+    SamplingConfig,
 };
 use reuselens::ir::ProgramBuilder;
 use reuselens::metrics::{attribute_analysis, run_locality_analysis_opts};
@@ -30,22 +30,23 @@ use reuselens::ReuseLensError;
 const GRAINS: [u64; 2] = [64, 4096];
 
 fn assert_pipelines_identical(w: &BuiltWorkload, grains: &[u64]) {
-    let online = analyze_program(&w.program, grains, w.index_arrays.clone()).unwrap();
-    let (par, stats) =
-        analyze_program_parallel(&w.program, grains, w.index_arrays.clone()).unwrap();
+    let opts = AnalyzeOptions::default();
+    let direct = analyze_program_with(&w.program, grains, w.index_arrays.clone(), &opts).unwrap();
+    let (buffer, exec) = capture_program(&w.program, w.index_arrays.clone()).unwrap();
+    let (profiles, replays) = analyze_buffer_with(&w.program, &buffer, grains, &opts)
+        .into_strict()
+        .unwrap();
+    let par = AnalysisResult { profiles, exec };
+    let stats = buffer.stats();
     assert_eq!(
-        online.profiles, par.profiles,
-        "replayed profiles diverged from the online pass"
+        direct.profiles, par.profiles,
+        "replayed profiles diverged from direct execution"
     );
-    assert_eq!(online.exec, par.exec);
-    assert_eq!(stats.buffer.accesses, online.exec.accesses);
-    assert_eq!(stats.replays.len(), grains.len());
+    assert_eq!(direct.exec, par.exec);
+    assert_eq!(stats.accesses, direct.exec.accesses);
+    assert_eq!(replays.len(), grains.len());
     // The columnar encoding must actually compress the event stream.
-    assert!(
-        stats.buffer.compression_ratio() > 1.0,
-        "buffer stats: {}",
-        stats.buffer
-    );
+    assert!(stats.compression_ratio() > 1.0, "buffer stats: {stats}");
     for p in &par.profiles {
         assert!(p.accesses_balance());
     }

@@ -7,7 +7,7 @@ use reuselens::cache::{
     ConfigError, MemoryHierarchy,
 };
 use reuselens::core::{
-    analyze_program_degraded, analyze_program_parallel, capture_program, AnalysisBudget,
+    analyze_buffer_with, analyze_program_with, capture_program, AnalysisBudget,
     AnalyzeOptions, BudgetLimit, CheckpointOptions, GrainError, SnapshotError,
 };
 use reuselens::metrics::{run_locality_analysis_checkpointed, run_locality_analysis_opts};
@@ -18,8 +18,10 @@ use reuselens::ReuseLensError;
 
 fn measured_analysis() -> (reuselens::core::AnalysisResult, reuselens::ir::Program) {
     let w = random_gather(1 << 10, 1 << 12, 2, 7);
-    let (analysis, _) =
-        analyze_program_parallel(&w.program, &[128, 16 * 1024], w.index_arrays.clone()).unwrap();
+    let opts = AnalyzeOptions::default();
+    let analysis =
+        analyze_program_with(&w.program, &[128, 16 * 1024], w.index_arrays.clone(), &opts)
+            .unwrap();
     (analysis, w.program)
 }
 
@@ -96,12 +98,12 @@ fn degraded_sweep_keeps_healthy_candidates() {
 #[test]
 fn budgeted_analysis_on_real_workload() {
     let w = random_gather(1 << 10, 1 << 12, 2, 7);
+    let (buffer, report) = capture_program(&w.program, w.index_arrays.clone()).unwrap();
     let tight = AnalyzeOptions {
         budget: AnalysisBudget::unlimited().with_max_distinct_blocks(8),
         ..AnalyzeOptions::default()
     };
-    let (partial, _, _) =
-        analyze_program_degraded(&w.program, &[128], w.index_arrays.clone(), &tight).unwrap();
+    let partial = analyze_buffer_with(&w.program, &buffer, &[128], &tight);
     let failure = partial.failure_at(128).expect("tight budget must trip");
     match &failure.error {
         GrainError::Budget(e) => {
@@ -115,8 +117,7 @@ fn budgeted_analysis_on_real_workload() {
         budget: AnalysisBudget::unlimited().with_max_events(u64::MAX),
         ..AnalyzeOptions::default()
     };
-    let (partial, report, _) =
-        analyze_program_degraded(&w.program, &[128], w.index_arrays.clone(), &generous).unwrap();
+    let partial = analyze_buffer_with(&w.program, &buffer, &[128], &generous);
     assert!(partial.is_complete());
     assert_eq!(partial.profiles[0].total_accesses, report.accesses);
 }
@@ -259,8 +260,9 @@ fn unwritable_checkpoint_dir_is_a_snapshot_error() {
 fn error_taxonomy_composes_with_question_mark() {
     fn pipeline() -> Result<usize, ReuseLensError> {
         let w = random_gather(1 << 8, 1 << 10, 2, 7);
-        let (analysis, _) =
-            analyze_program_parallel(&w.program, &[128, 16 * 1024], w.index_arrays.clone())?;
+        let opts = AnalyzeOptions::default();
+        let analysis =
+            analyze_program_with(&w.program, &[128, 16 * 1024], w.index_arrays.clone(), &opts)?;
         let (reports, _) = evaluate_sweep(&analysis, &[MemoryHierarchy::itanium2()])?;
         Ok(reports.len())
     }

@@ -4,6 +4,7 @@
 
 use reuselens::advisor::{Advisor, Transformation};
 use reuselens::cache::MemoryHierarchy;
+use reuselens::core::{analyze_program_with, AnalyzeOptions};
 use reuselens::metrics::run_locality_analysis;
 use reuselens::workloads::kernels::{fig1_interchange, Fig1Variant};
 
@@ -56,8 +57,9 @@ fn interchange_removes_the_misses() {
 fn both_variants_touch_identical_footprints() {
     let a = fig1_interchange(N, M, Fig1Variant::RowOrder);
     let b = fig1_interchange(N, M, Fig1Variant::Interchanged);
-    let ra = reuselens::core::analyze_program(&a.program, &[128], vec![]).unwrap();
-    let rb = reuselens::core::analyze_program(&b.program, &[128], vec![]).unwrap();
+    let opts = AnalyzeOptions::default();
+    let ra = analyze_program_with(&a.program, &[128], vec![], &opts).unwrap();
+    let rb = analyze_program_with(&b.program, &[128], vec![], &opts).unwrap();
     assert_eq!(ra.exec.accesses, rb.exec.accesses);
     assert_eq!(
         ra.profiles[0].distinct_blocks,

@@ -14,9 +14,8 @@
 
 use reuselens::cache::{report_from_analysis, HierarchyReport, MemoryHierarchy};
 use reuselens::core::{
-    analyze_buffer, analyze_buffer_checkpointed, analyze_buffer_with, capture_program,
-    AnalysisResult, AnalyzeOptions, CheckpointOptions, ReplayThreads, ReuseProfile,
-    SamplingConfig,
+    analyze_buffer_checkpointed, analyze_buffer_with, capture_program, AnalysisResult,
+    AnalyzeOptions, CheckpointOptions, ReplayThreads, ReplayTiming, ReuseProfile, SamplingConfig,
 };
 use reuselens::metrics::run_locality_analysis;
 use reuselens::obs::{
@@ -72,12 +71,23 @@ struct PipelineRun {
     exec_accesses: u64,
 }
 
+/// Strict replay of a captured buffer with default options.
+fn replay(
+    program: &reuselens::ir::Program,
+    buffer: &reuselens::trace::TraceBuffer,
+    grains: &[u64],
+) -> (Vec<ReuseProfile>, Vec<ReplayTiming>) {
+    analyze_buffer_with(program, buffer, grains, &AnalyzeOptions::default())
+        .into_strict()
+        .unwrap()
+}
+
 /// The capture-once / replay-many / sweep pipeline, as the CLI runs it.
 fn run_pipeline(w: &BuiltWorkload, hs: &[MemoryHierarchy]) -> PipelineRun {
     let (buffer, exec) = capture_program(&w.program, w.index_arrays.clone()).unwrap();
     buffer.validate().unwrap();
     let g = grains(hs);
-    let (profiles, _timings) = analyze_buffer(&w.program, &buffer, &g).unwrap();
+    let (profiles, _timings) = replay(&w.program, &buffer, &g);
     let analysis = AnalysisResult {
         profiles,
         exec: exec.clone(),
@@ -256,7 +266,7 @@ fn installing_obs_mid_run_changes_nothing() {
         let (buffer, exec) = capture_program(&w.program, w.index_arrays.clone()).unwrap();
         let recorder = Arc::new(MetricsRecorder::new());
         obs::install(recorder.clone());
-        let (profiles, _timings) = analyze_buffer(&w.program, &buffer, &g).unwrap();
+        let (profiles, _timings) = replay(&w.program, &buffer, &g);
         obs::uninstall();
 
         let analysis = AnalysisResult { profiles, exec };

@@ -103,7 +103,8 @@ fn model_fit_on_cold_dominated_profiles() {
             });
         });
         let prog = p.finish();
-        reuselens::core::analyze_program(&prog, &[128], vec![])
+        let opts = reuselens::core::AnalyzeOptions::default();
+        reuselens::core::analyze_program_with(&prog, &[128], vec![], &opts)
             .unwrap()
             .profiles
             .remove(0)

@@ -3,7 +3,7 @@
 //! authors' modeling work and improves with per-pattern collection.
 
 use reuselens::cache::{predict_level, MemoryHierarchy};
-use reuselens::core::analyze_program;
+use reuselens::core::{analyze_program_with, AnalyzeOptions};
 use reuselens::model::ProfileModel;
 use reuselens::workloads::kernels::{stencil2d, streaming};
 
@@ -12,7 +12,7 @@ fn l2() -> reuselens::cache::CacheConfig {
 }
 
 fn profile_of(w: &reuselens::workloads::BuiltWorkload) -> reuselens::core::ReuseProfile {
-    analyze_program(&w.program, &[128], w.index_arrays.clone())
+    analyze_program_with(&w.program, &[128], w.index_arrays.clone(), &AnalyzeOptions::default())
         .unwrap()
         .profiles
         .remove(0)
